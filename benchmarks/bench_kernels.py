@@ -13,7 +13,10 @@ Run from the repository root::
 
 The full sweep covers n in {100, 500, 1000, 2000} x m in {2, 3, 5}; the
 smoke sweep trims that to one small grid so CI can assert the kernels still
-agree with (and beat) the references without burning minutes.
+agree with (and beat) the references without burning minutes.  Both modes
+gate ``nondominated_sort`` on a speedup floor, ``archive_prune`` on being at
+least as fast as its reference at every grid point, and the ``tracemalloc``
+peak of one n=2000, m=5 archive prune from an empty archive.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,15 @@ SMOKE_SWEEP = {"n": (100, 300), "m": (2, 3)}
 #: Reference timings above this n are extrapolation-expensive; cap the
 #: repeats so the full sweep stays in minutes, not hours.
 _REPEATS = {"kernel": 5, "reference": 1}
+
+#: Floors, as kernel speedup over the reference at every grid point.
+SORT_SPEEDUP_FLOOR = 10.0
+ARCHIVE_SPEEDUP_FLOOR = 1.0
+
+#: Bound on the tracemalloc peak of an n=2000, m=5 prune into an empty
+#: archive: one 2000 x 2000 boolean block, which a prune whose blocks grow
+#: with the square of the batch would already exceed.
+ARCHIVE_PEAK_BOUND_MB = 4.0
 
 
 def _population(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,6 +123,18 @@ def _bench_case(n: int, m: int) -> list[dict]:
     return records
 
 
+def archive_prune_peak_mb(n: int = 2000, m: int = 5) -> float:
+    """``tracemalloc`` peak (MB) of one ``archive_prune`` with ``n_members=0``."""
+    F, CV, X = _population(n, m, seed=n * 31 + m)
+    tracemalloc.start()
+    try:
+        kernels.archive_prune(F, CV, X, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def _record(kernel: str, n: int, m: int, t_kernel: float, t_reference: float) -> dict:
     speedup = t_reference / t_kernel if t_kernel > 0 else float("inf")
     return {
@@ -160,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     records = run_sweep(sweep)
+    peak_mb = archive_prune_peak_mb()
+    print("archive_prune n=2000 m=5 tracemalloc peak %.2f MB" % peak_mb)
     payload = {
         "benchmark": "kernels-vs-reference",
         "mode": "smoke" if args.smoke else "full",
@@ -167,20 +194,30 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "results": records,
+        "archive_prune_peak_mb": round(peak_mb, 3),
     }
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print("wrote %s (%d measurements)" % (output, len(records)))
-    sort_speedups = [r["speedup"] for r in records if r["kernel"] == "nondominated_sort"]
-    floor = 10.0
-    if min(sort_speedups) < floor:
-        print(
-            "FAIL: nondominated_sort speedup %.1fx below the %.0fx floor"
-            % (min(sort_speedups), floor),
-            file=sys.stderr,
+    failures = []
+    for kernel, floor in (
+        ("nondominated_sort", SORT_SPEEDUP_FLOOR),
+        ("archive_prune", ARCHIVE_SPEEDUP_FLOOR),
+    ):
+        slowest = min((r for r in records if r["kernel"] == kernel), key=lambda r: r["speedup"])
+        if slowest["speedup"] < floor:
+            failures.append(
+                "%s speedup %.2fx below the %.0fx floor at n=%d, m=%d"
+                % (kernel, slowest["speedup"], floor, slowest["n"], slowest["m"])
+            )
+    if peak_mb > ARCHIVE_PEAK_BOUND_MB:
+        failures.append(
+            "archive_prune n=2000 m=5 peak %.2f MB above the %.0f MB bound"
+            % (peak_mb, ARCHIVE_PEAK_BOUND_MB)
         )
-        return 1
-    return 0
+    for failure in failures:
+        print("FAIL: " + failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ mining (:mod:`repro.moo.mining`), the front-quality metrics
 
 Insertion runs on the batched :func:`repro.moo.kernels.archive_prune`
 kernel: a whole population is folded into the archive on columnar arrays,
-each candidate tested against the live set with one vectorized pass per
-dominance direction instead of a Python dominance loop per member, while
+with the pairwise dominance and near-duplicate tests computed once per batch
+as boolean blocks and the sequential fold reduced to mask updates, while
 reproducing the sequential insertion semantics (member order, duplicate
 rejection, per-insertion crowding truncation) bit for bit.
 """
@@ -76,9 +76,6 @@ class ParetoArchive:
             self._columns_cache = cached
         return cached
 
-    def _invalidate(self) -> None:
-        self._columns_cache = None
-
     # ------------------------------------------------------------------
     def add(self, candidate: Individual) -> bool:
         """Insert one evaluated individual.
@@ -98,7 +95,12 @@ class ParetoArchive:
         One call to :func:`repro.moo.kernels.archive_prune` replaces the
         per-individual insertion loop; the resulting membership (order
         included) and the returned count of accepted candidates are
-        identical to inserting the candidates one by one in order.
+        identical to inserting the candidates one by one in order.  The
+        kernel works on the members' cached columns stacked over the
+        batch's, and the kept rows of those stacked arrays become the new
+        cached columns, so the next call stacks no member again.  The
+        kernel's working memory is a few ``(members + 128) x 128`` boolean
+        blocks per run of 128 candidates, whatever the batch size.
         """
         batch = list(candidates)
         for candidate in batch:
@@ -128,7 +130,7 @@ class ParetoArchive:
             else batch[index - n_members].copy()
             for index in kept
         ]
-        self._invalidate()
+        self._columns_cache = (objectives[kept], violations[kept], decisions[kept])
         return accepted
 
     # ------------------------------------------------------------------
@@ -170,7 +172,7 @@ class ParetoArchive:
     def clear(self) -> None:
         """Remove every member."""
         self._members.clear()
-        self._invalidate()
+        self._columns_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ParetoArchive(size=%d, capacity=%r)" % (len(self._members), self.capacity)

@@ -66,18 +66,24 @@ def _as_objective_matrix(F: np.ndarray) -> np.ndarray:
 def _pareto_blocks(F_a: np.ndarray, F_b: np.ndarray) -> np.ndarray:
     """Plain Pareto domination of rows of ``F_a`` over rows of ``F_b``.
 
-    Chunks the ``(n_a, n_b, m)`` broadcast over rows of ``a`` so the boolean
-    temporaries stay bounded (~16 MB) regardless of population size.
+    Builds the block one objective column at a time (2-D comparisons run
+    several times faster than reducing the short trailing axis of an
+    ``(n_a, n_b, m)`` broadcast) and chunks over rows of ``a`` so the
+    boolean temporaries stay bounded (~16 MB) regardless of population size.
     """
     n_a, m = F_a.shape
     n_b = F_b.shape[0]
     out = np.empty((n_a, n_b), dtype=bool)
-    chunk = max(1, int(2**24 // max(1, n_b * m)))
+    chunk = max(1, int(2**22 // max(1, n_b)))
     for start in range(0, n_a, chunk):
         stop = min(start + chunk, n_a)
-        no_worse = np.all(F_a[start:stop, None, :] <= F_b[None, :, :], axis=2)
-        better = np.any(F_a[start:stop, None, :] < F_b[None, :, :], axis=2)
-        out[start:stop] = no_worse & better
+        no_worse = np.ones((stop - start, n_b), dtype=bool)
+        better = np.zeros((stop - start, n_b), dtype=bool)
+        for k in range(m):
+            a, b = F_a[start:stop, k, None], F_b[None, :, k]
+            no_worse &= a <= b
+            better |= a < b
+        np.logical_and(no_worse, better, out=out[start:stop])
     return out
 
 
@@ -187,8 +193,9 @@ def crowding_distances(F: np.ndarray) -> np.ndarray:
     Boundary rows of every objective receive an infinite distance; interior
     rows accumulate the span-normalized gap between their sorted
     neighbours.  Zero-range objectives (all rows equal in one column) and
-    duplicated rows contribute nothing instead of dividing by zero, so the
-    kernel is warning-free under ``-W error::RuntimeWarning``.
+    duplicated rows contribute nothing instead of dividing by zero, and
+    infinite or NaN objectives propagate as IEEE values, so the kernel is
+    warning-free under ``-W error::RuntimeWarning``.
     """
     F = _as_objective_matrix(F)
     n, m = F.shape
@@ -198,9 +205,12 @@ def crowding_distances(F: np.ndarray) -> np.ndarray:
         return np.full(n, np.inf)
     order = np.argsort(F, axis=0, kind="stable")
     sorted_F = np.take_along_axis(F, order, axis=0)
-    spans = sorted_F[-1] - sorted_F[0]
-    safe_spans = np.where(spans > 0, spans, 1.0)
-    contributions = (sorted_F[2:] - sorted_F[:-2]) / safe_spans
+    # Non-finite objectives give the IEEE results of the reference loop
+    # (inf - inf and inf / inf are NaN) without warning about them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        spans = sorted_F[-1] - sorted_F[0]
+        safe_spans = np.where(spans > 0, spans, 1.0)
+        contributions = (sorted_F[2:] - sorted_F[:-2]) / safe_spans
     distance = np.zeros(n)
     # Accumulate per column, in column order, to match the reference
     # summation order bit for bit (m is small, the work per column is
@@ -263,28 +273,92 @@ def tournament_winners(
     return np.where(second_wins, second, first), ties
 
 
-def _rows_dominate_point(
-    F_rows: np.ndarray, CV_rows: np.ndarray, f: np.ndarray, cv: float
-) -> np.ndarray:
-    """Which rows constrained-dominate the single point ``(f, cv)``."""
-    if cv == 0.0:
-        feasible_rows = CV_rows == 0.0
-        pareto = np.all(F_rows <= f, axis=1) & np.any(F_rows < f, axis=1)
-        return feasible_rows & pareto
-    # An infeasible point is dominated by every feasible row (CV 0 < cv) and
-    # by every infeasible row with a smaller violation — one comparison.
-    return CV_rows < cv
+#: Candidates folded per precomputed set of blocks in :func:`archive_prune`.
+_CANDIDATE_CHUNK = 128
+
+#: Float elements per chunk of the near-duplicate temporaries (~16 MB).
+_CLOSE_CHUNK_ELEMENTS = 2**21
 
 
-def _point_dominates_rows(
-    f: np.ndarray, cv: float, F_rows: np.ndarray, CV_rows: np.ndarray
-) -> np.ndarray:
-    """Which rows are constrained-dominated by the single point ``(f, cv)``."""
-    feasible_rows = CV_rows == 0.0
-    if cv == 0.0:
-        pareto = np.all(f <= F_rows, axis=1) & np.any(f < F_rows, axis=1)
-        return ~feasible_rows | pareto
-    return ~feasible_rows & (cv < CV_rows)
+def _isclose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.isclose(x, y)`` at the default tolerances, without its dispatch.
+
+    The same formula numpy evaluates, so the booleans are identical; call it
+    under ``np.errstate(invalid="ignore")`` as numpy does (``inf - inf``).
+    """
+    return (np.abs(x - y) <= 1e-8 + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)
+
+
+def _near_duplicate_block(F: np.ndarray, X: np.ndarray, n_members: int) -> np.ndarray:
+    """Which earlier rows are near-duplicates of each candidate.
+
+    Returns a boolean ``(n_candidates, n_rows)`` block whose entry
+    ``[j, r]`` is ``np.allclose(F[r], F[c]) and np.allclose(X[r], X[c])``
+    for candidate row ``c = n_members + j`` and every row ``r < c``.  Entries
+    for rows at or after ``c`` are unspecified: those rows are not live yet
+    when the fold reads row ``j``.  Closeness is :func:`_isclose` with ``x``
+    the earlier row and ``y`` the candidate, as ``np.allclose`` orders them.
+    Decision vectors are compared only for the pairs whose objectives are
+    already close, and every float temporary is chunked to ~16 MB.
+    """
+    n_rows, m = F.shape
+    F_cand = F[n_members:]
+    n_cand = F_cand.shape[0]
+    close = np.ones((n_cand, n_rows), dtype=bool)
+    chunk = max(1, _CLOSE_CHUNK_ELEMENTS // max(1, n_cand))
+    with np.errstate(invalid="ignore"):
+        for k in range(m):
+            for start in range(0, n_rows, chunk):
+                block = slice(start, start + chunk)
+                close[:, block] &= _isclose(F[None, block, k], F_cand[:, k, None])
+        cand, rows = np.nonzero(close)
+        earlier = rows < cand + n_members
+        cand, rows = cand[earlier], rows[earlier]
+        chunk = max(1, _CLOSE_CHUNK_ELEMENTS // max(1, X.shape[1]))
+        for start in range(0, cand.size, chunk):
+            j, r = cand[start : start + chunk], rows[start : start + chunk]
+            close[j, r] = _isclose(X[r], X[n_members + j]).all(axis=1)
+    return close
+
+
+def _fold_block(
+    F: np.ndarray, CV: np.ndarray, X: np.ndarray, n_members: int, capacity: int | None
+) -> tuple[np.ndarray, int]:
+    """Fold candidates ``n_members..`` into the live rows ``0..n_members-1``.
+
+    The pairwise tests are precomputed as boolean blocks (every row over the
+    candidates, the candidates over every row, near-duplicates), so the
+    sequential fold only combines rows of them with an ``alive`` mask.  A
+    mask can stand in for the ordered live list because the live set is
+    always in ascending row order: members come first, survivors keep their
+    order and an accepted candidate is the largest index so far.  Returns
+    the kept row indices (ascending) and the number of candidates accepted.
+    """
+    F_cand, CV_cand = F[n_members:], CV[n_members:]
+    dominated = np.ascontiguousarray(constrained_domination_blocks(F, CV, F_cand, CV_cand).T)
+    survives = ~constrained_domination_blocks(F_cand, CV_cand, F, CV)
+    duplicate = _near_duplicate_block(F, X, n_members)
+    alive = np.zeros(F.shape[0], dtype=bool)
+    alive[:n_members] = True
+    accepted = 0
+    # A boolean dot product is any(alive & row) in one cheap numpy call.
+    for j in range(F_cand.shape[0]):
+        if alive @ dominated[j]:
+            continue
+        alive &= survives[j]
+        if alive @ duplicate[j]:
+            continue
+        alive[n_members + j] = True
+        accepted += 1
+        if capacity is None:
+            continue
+        kept = np.flatnonzero(alive)
+        while kept.size > capacity:
+            distances = crowding_distances(F[kept])
+            finite = np.where(np.isfinite(distances), distances, np.inf)
+            alive[kept[int(np.argmin(finite))]] = False
+            kept = np.flatnonzero(alive)
+    return np.flatnonzero(alive), accepted
 
 
 def archive_prune(
@@ -305,10 +379,16 @@ def archive_prune(
     effects, and when ``capacity`` is exceeded the most crowded live row is
     discarded after every insertion.
 
-    Each candidate's dominance tests against the live set run as one
-    vectorized pass per direction (and rejection short-circuits before the
-    reverse pass), so the fold does O(alive x m) arithmetic per candidate
-    with no quadratic precompute or matrix memory.
+    The pairwise work is precomputed, not done per candidate.  For each run
+    of up to 128 candidates (a whole batch, in the paper workloads) the
+    kernel builds two rectangular :func:`constrained_domination_blocks` —
+    the live rows and the run over the run, and the run over them — plus
+    one near-duplicate block; the sequential fold then only updates a
+    boolean ``alive`` mask.  Only rows live before the run or inside it can
+    be live during it, so each run's blocks are ``(live + 128) x 128``
+    booleans: memory and work grow with the batch times the live set, not
+    with the square of the batch, and the float temporaries behind the
+    blocks are chunked to ~16 MB.
 
     Returns ``(kept, accepted)``: the surviving row indices in final archive
     order, and how many candidates entered (counting ones later evicted by
@@ -318,30 +398,12 @@ def archive_prune(
     F = _as_objective_matrix(F)
     CV = np.asarray(CV, dtype=float)
     X = np.asarray(X, dtype=float)
-    n_total = F.shape[0]
-    alive: list[int] = list(range(n_members))
+    n_rows = F.shape[0]
+    kept = np.arange(n_members)
     accepted = 0
-    for c in range(n_members, n_total):
-        if alive:
-            live = np.asarray(alive, dtype=np.intp)
-            F_live, CV_live = F[live], CV[live]
-            if _rows_dominate_point(F_live, CV_live, F[c], CV[c]).any():
-                continue
-            survivors = live[~_point_dominates_rows(F[c], CV[c], F_live, CV_live)]
-        else:
-            survivors = np.empty(0, dtype=np.intp)
-        if survivors.size:
-            duplicate = np.isclose(F[survivors], F[c]).all(axis=1) & np.isclose(
-                X[survivors], X[c]
-            ).all(axis=1)
-            if duplicate.any():
-                alive = survivors.tolist()
-                continue
-        alive = survivors.tolist()
-        alive.append(c)
-        accepted += 1
-        while capacity is not None and len(alive) > capacity:
-            distances = crowding_distances(F[np.asarray(alive, dtype=np.intp)])
-            finite = np.where(np.isfinite(distances), distances, np.inf)
-            alive.pop(int(np.argmin(finite)))
-    return alive, accepted
+    for start in range(n_members, n_rows, _CANDIDATE_CHUNK):
+        rows = np.concatenate([kept, np.arange(start, min(start + _CANDIDATE_CHUNK, n_rows))])
+        local, entered = _fold_block(F[rows], CV[rows], X[rows], kept.size, capacity)
+        kept = rows[local]
+        accepted += entered
+    return kept.tolist(), accepted

@@ -100,28 +100,6 @@ class TestDominationMatrices:
         blocks = kernels.constrained_domination_blocks(F[:15], CV[:15], F[15:], CV[15:])
         np.testing.assert_array_equal(blocks, square[:15, 15:])
 
-    def test_point_fast_paths_agree_with_blocks(self):
-        # The archive fold uses specialised rows-vs-one helpers; they must
-        # agree with the general blocks, including zero-violation ties.
-        F, CV, _ = _random_case(6, n=25, feasibility="mixed")
-        CV[3] = CV[7] = 0.0
-        for c in range(F.shape[0]):
-            rows = np.delete(np.arange(F.shape[0]), c)
-            expected_down = kernels.constrained_domination_blocks(
-                F[rows], CV[rows], F[c : c + 1], CV[c : c + 1]
-            )[:, 0]
-            expected_up = kernels.constrained_domination_blocks(
-                F[c : c + 1], CV[c : c + 1], F[rows], CV[rows]
-            )[0, :]
-            np.testing.assert_array_equal(
-                kernels._rows_dominate_point(F[rows], CV[rows], F[c], CV[c]),
-                expected_down,
-            )
-            np.testing.assert_array_equal(
-                kernels._point_dominates_rows(F[c], CV[c], F[rows], CV[rows]),
-                expected_up,
-            )
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_non_dominated_mask_matches_reference(self, seed):
         F, _, _ = _random_case(seed, n=60, m=2)
@@ -186,6 +164,24 @@ class TestCrowding:
             crowding_distance(zero_range)
             assert spacing(duplicated) == 0.0
             spacing(zero_range)
+
+    def test_non_finite_rows_raise_no_runtime_warnings(self):
+        # Infinite spans (inf / inf) and inf - inf gaps must not warn; the
+        # values are the IEEE ones numpy gives with its warnings silenced.
+        fronts = [
+            np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, np.inf], [0.5, 0.5]]),
+            np.array([[-np.inf, 1.0], [np.inf, 0.0], [np.inf, 2.0], [0.5, 0.5]]),
+            np.array([[np.nan, 1.0], [0.0, np.nan], [1.0, 0.0], [0.5, 0.5]]),
+            np.array([[np.inf, np.nan], [np.inf, -np.inf], [np.inf, 0.0]]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = [kernels.crowding_distances(F) for F in fronts]
+        with np.errstate(all="ignore"):
+            expected = [kernels.crowding_distances(F) for F in fronts]
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(results[0], [np.inf, np.inf, np.inf, 0.0])
 
     def test_small_fronts(self):
         assert crowding_distance(np.empty((0, 2))).size == 0
@@ -273,6 +269,54 @@ class TestArchivePrune:
         )
         assert kept == expected_kept
         assert accepted == expected_accepted
+
+    @pytest.mark.parametrize("violation", [np.nan, -1.0])
+    def test_feasible_member_dominates_any_infeasible_candidate(self, violation):
+        # Deb's rules: a feasible row dominates every row with CV != 0,
+        # including a NaN or negative violation.
+        F = np.array([[0.0, 0.0], [1.0, 1.0]])
+        CV = np.array([0.0, violation])
+        X = np.array([[0.0], [1.0]])
+        assert reference_archive_prune(F, CV, X, 1) == ([0], 0)
+        assert kernels.archive_prune(F, CV, X, 1) == ([0], 0)
+        # The infeasible row goes as soon as a feasible candidate arrives.
+        assert kernels.archive_prune(F[::-1], CV[::-1], X[::-1], 1) == ([1], 1)
+
+    def test_near_duplicates_follow_np_isclose(self):
+        # Rows (v, -v) are mutually non-dominated, so closeness alone decides
+        # which candidates enter; the offsets straddle the 1e-8 + 1e-5 * |y|
+        # tolerance, and the infinite rows are close only when equal.
+        values = 1.0 + np.array([0.0, 1e-9, 1e-8, 1e-5, 2e-5, 1e-3, np.inf, np.inf])
+        values = np.append(values, [-np.inf, 1.0 + 1e-6])
+        F = np.column_stack([values, -values])
+        X = np.column_stack([np.zeros(values.size), np.arange(values.size) % 2 * 1e-9])
+        X[-1, 0] = 1e-3  # objectives close to row 0, decisions not
+        CV = np.zeros(values.size)
+        kept, accepted = kernels.archive_prune(F, CV, X, 0)
+        assert (kept, accepted) == reference_archive_prune(F, CV, X, 0)
+        assert 0 < accepted < values.size
+
+    def test_chunked_near_duplicate_block_matches_reference(self, monkeypatch):
+        F, CV, X = _random_case(17, n=60, m=2, feasibility="feasible")
+        rng = np.random.default_rng(17)
+        F, CV, X = _with_duplicates(F, CV, X, rng)
+        F[::5] += 1e-9  # near, not exact, duplicates
+        expected = reference_archive_prune(F, CV, X, 0)
+        monkeypatch.setattr(kernels, "_CLOSE_CHUNK_ELEMENTS", 7)
+        assert kernels.archive_prune(F, CV, X, 0) == expected
+
+    @pytest.mark.parametrize("capacity", [None, 7])
+    def test_candidate_runs_across_several_blocks_match_reference(
+        self, capacity, monkeypatch
+    ):
+        F, CV, X = _random_case(19, n=70, m=2, feasibility="mixed")
+        F, CV, X = _with_duplicates(F, CV, X, np.random.default_rng(19))
+        members, _ = reference_archive_prune(F[:20], CV[:20], X[:20], 0, capacity)
+        rows = np.concatenate([members, np.arange(20, 70)])
+        F, CV, X = F[rows], CV[rows], X[rows]
+        expected = reference_archive_prune(F, CV, X, len(members), capacity)
+        monkeypatch.setattr(kernels, "_CANDIDATE_CHUNK", 6)
+        assert kernels.archive_prune(F, CV, X, len(members), capacity) == expected
 
 
 class TestGoldenFront:

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.moo import kernels
+from repro.moo._reference import reference_archive_prune
 from repro.moo.archive import ParetoArchive
 from repro.moo.dominance import (
     crowding_distance,
@@ -88,6 +90,59 @@ class TestArchiveProperties:
             for j in range(stored.shape[0]):
                 if i != j:
                     assert not dominates(stored[i], stored[j])
+
+
+#: Few distinct values, so ties, dominance and near-duplicates (offsets of
+#: 1e-9, inside np.isclose's tolerance) are common.
+_FINITE_VALUES = [-1.0, 0.0, 1e-9, 1.0, 1.0 + 1e-9, 2.0]
+_NON_FINITE_VALUES = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def archive_cases(draw, finite):
+    """(F, CV, X, n_members) with members built by a prior prune."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 3))
+    values = _FINITE_VALUES if finite else _FINITE_VALUES + _NON_FINITE_VALUES
+    F = draw(arrays(float, (n, m), elements=st.sampled_from(values)))
+    CV = draw(arrays(float, n, elements=st.sampled_from([0.0, 0.0, 0.5, 1.0, np.nan, -1.0])))
+    n_var = draw(st.integers(1, 2))
+    X = draw(arrays(float, (n, n_var), elements=st.sampled_from([0.0, 1e-9, 1.0])))
+    split = draw(st.integers(0, n))
+    return F, CV, X, split
+
+
+def _with_prior_members(case, capacity):
+    """Prune the first ``split`` rows into members, the rest stay candidates."""
+    F, CV, X, split = case
+    members, _ = reference_archive_prune(F[:split], CV[:split], X[:split], 0, capacity)
+    rows = np.concatenate([np.asarray(members, dtype=np.intp), np.arange(split, F.shape[0])])
+    return F[rows], CV[rows], X[rows], len(members)
+
+
+class TestArchivePruneProperties:
+    """The batched prune equals sequential insertion, order and count."""
+
+    @given(archive_cases(finite=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_non_finite_and_near_duplicate_rows(self, case):
+        F, CV, X, n_members = _with_prior_members(case, None)
+        assert kernels.archive_prune(F, CV, X, n_members) == reference_archive_prune(
+            F, CV, X, n_members
+        )
+
+    # Capacity runs use finite objectives only: with inf/NaN objectives the
+    # kernel and reference crowding distances already differ (the kernel
+    # skips a NaN span and assigns the boundary infs last, the reference
+    # spreads NaN over them), so the truncation order would differ for a
+    # reason outside the prune.
+    @given(archive_cases(finite=True), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_with_small_capacity(self, case, capacity):
+        F, CV, X, n_members = _with_prior_members(case, capacity)
+        assert kernels.archive_prune(
+            F, CV, X, n_members, capacity=capacity
+        ) == reference_archive_prune(F, CV, X, n_members, capacity=capacity)
 
 
 class TestHypervolumeProperties:
