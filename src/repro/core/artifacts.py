@@ -155,7 +155,7 @@ def front_payload(
     decisions:
         Optional ``(n, d)`` matrix of decision vectors.
     objective_names, objective_senses:
-        Metadata mirrored from the :class:`~repro.moo.problem.Problem`.
+        Metadata mirrored from the :class:`~repro.problems.base.Problem`.
     label:
         Optional name of the front (e.g. the algorithm that produced it).
     info:

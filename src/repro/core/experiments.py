@@ -118,7 +118,7 @@ def run_table1(
     the relative coverage Rp, the global coverage Gp and the hypervolume Vp.
 
     The evaluation budgets are matched through the optimizers' own counters
-    (not a :class:`CountingProblem` wrapper), so they stay exact when the
+    (not a :class:`~repro.problems.BudgetCounting` wrapper), so they stay exact when the
     evaluations fan out over ``n_workers`` processes.
     """
     base_problem = problem or PhotosynthesisProblem(REFERENCE_CONDITION)

@@ -2,9 +2,6 @@
 
 The sub-package provides:
 
-* :mod:`repro.moo.problem` — compatibility re-exports of the
-  :class:`~repro.problems.Problem` abstraction, whose batch-first contract
-  and typed design spaces now live in :mod:`repro.problems`;
 * :mod:`repro.moo.nsga2` / :mod:`repro.moo.moead` — the two evolutionary
   engines (NSGA-II is PMO2's island engine, MOEA/D the Table 1 baseline);
 * :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` /
@@ -23,10 +20,11 @@ The sub-package provides:
   equivalence tests and benchmarks);
 * :mod:`repro.moo.testproblems` — synthetic validation problems.
 
-Every optimizer accepts an ``evaluator`` from :mod:`repro.runtime` (process
-pools, memoization) and ``NSGA2.run`` / ``Archipelago.run`` / ``PMO2.run``
-accept a :class:`repro.runtime.CheckpointManager` for kill-safe resumable
-runs; neither changes results for a fixed seed.
+The :class:`~repro.problems.Problem` abstraction they optimize lives in
+:mod:`repro.problems`.  Every optimizer accepts an ``evaluator`` from
+:mod:`repro.runtime` (process pools, memoization) and runs through
+:func:`repro.solve.solve`, which adds kill-safe checkpoint/resume; neither
+changes results for a fixed seed.
 """
 
 from repro.moo import kernels
@@ -75,7 +73,6 @@ from repro.moo.mining import (
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.pmo2 import PMO2, PMO2Config
-from repro.moo.problem import CountingProblem, EvaluationResult, FunctionalProblem, Problem
 from repro.moo.robustness import (
     PerturbationModel,
     RobustnessReport,
@@ -143,10 +140,6 @@ __all__ = [
     "NSGA2Config",
     "PMO2",
     "PMO2Config",
-    "CountingProblem",
-    "EvaluationResult",
-    "FunctionalProblem",
-    "Problem",
     "PerturbationModel",
     "RobustnessReport",
     "RobustnessSettings",
@@ -164,23 +157,3 @@ __all__ = [
     "Topology",
     "topology_from_name",
 ]
-
-#: Deprecated result aliases, resolved lazily so that importing repro.moo
-#: stays warning-free; accessing one emits a DeprecationWarning from the
-#: defining module and returns repro.solve.SolveResult.
-_DEPRECATED_RESULTS = {
-    "ArchipelagoResult": "repro.moo.archipelago",
-    "MOEADResult": "repro.moo.moead",
-    "NSGA2Result": "repro.moo.nsga2",
-    "PMO2Result": "repro.moo.pmo2",
-}
-
-
-def __getattr__(name: str):
-    """Resolve the deprecated ``*Result`` aliases lazily (with a warning)."""
-    if name in _DEPRECATED_RESULTS:
-        import importlib
-
-        module = importlib.import_module(_DEPRECATED_RESULTS[name])
-        return getattr(module, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

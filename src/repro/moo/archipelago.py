@@ -12,32 +12,30 @@ The island *scheduling* runs cooperatively inside one process (the paper's
 the migration dynamics deterministic; the expensive part — objective
 evaluation — can nevertheless fan out over OS processes by attaching a shared
 :class:`repro.runtime.ProcessPoolEvaluator`, and long runs can checkpoint and
-resume through :class:`repro.runtime.CheckpointManager` (see :meth:`run`).
-Both features preserve bitwise-identical results for a fixed seed.
+resume through :func:`repro.solve.solve` with a checkpoint directory.  Both
+features preserve bitwise-identical results for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.checkpoint import CheckpointManager
     from repro.runtime.evaluator import Evaluator
     from repro.solve.result import SolveResult
 
-from repro.deprecation import deprecated_result_alias
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.problem import Problem
 from repro.moo.topology import AllToAllTopology, Topology, topology_from_name
 from repro.moo.validation import check_at_least, check_choice, check_probability
 from repro.obs.trace import get_tracer
+from repro.problems.base import Problem
 
 __all__ = [
     "MigrationPolicy",
@@ -319,44 +317,6 @@ class Archipelago:
         if self.generation % self.policy.interval == 0:
             self.migrate()
 
-    def run(
-        self,
-        generations: int,
-        callback: Callable[["Archipelago"], None] | None = None,
-        checkpoint: "CheckpointManager | None" = None,
-    ) -> "SolveResult":
-        """Run all islands for ``generations`` generations.
-
-        When a :class:`~repro.runtime.checkpoint.CheckpointManager` is given,
-        ``generations`` is the *total* target: the latest checkpoint (if any)
-        is restored into this archipelago first and only the missing
-        generations are run, checkpointing on the manager's interval.  All
-        random generators travel inside the checkpoint, so a resumed run is
-        bitwise identical to an uninterrupted one.
-        """
-        if generations < 0:
-            raise ConfigurationError("generations must be non-negative")
-        remaining = generations
-        if checkpoint is not None:
-            checkpoint.restore(self)
-            remaining = max(0, generations - self.generation)
-        if not self._initialized:
-            self.initialize()
-        for _ in range(remaining):
-            self.step()
-            self.history.append(
-                {
-                    "generation": self.generation,
-                    "evaluations": self.total_evaluations,
-                    "archive_sizes": [len(island.archive) for island in self.islands],
-                }
-            )
-            if checkpoint is not None:
-                checkpoint.maybe_save(self, self.generation)
-            if callback is not None:
-                callback(self)
-        return self.result()
-
     # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
     # ------------------------------------------------------------------
@@ -414,8 +374,3 @@ class Archipelago:
             len(self.islands),
             type(self.topology).__name__,
         )
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``ArchipelagoResult`` is :class:`repro.solve.SolveResult`."""
-    return deprecated_result_alias(__name__, name, "ArchipelagoResult")

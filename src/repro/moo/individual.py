@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo.problem import EvaluationResult, Problem
+from repro.problems.base import Problem
+from repro.problems.batch import EvaluationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.evaluator import Evaluator

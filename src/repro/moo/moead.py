@@ -13,16 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.checkpoint import CheckpointManager
     from repro.runtime.evaluator import Evaluator
     from repro.solve.result import SolveResult
 
-from repro.deprecation import deprecated_result_alias
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import (
@@ -32,8 +30,8 @@ from repro.moo.individual import (
     violation_vector_of,
 )
 from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
-from repro.moo.problem import Problem
 from repro.moo.validation import check, check_at_least, check_choice, check_probability
+from repro.problems.base import Problem
 
 __all__ = ["MOEADConfig", "MOEAD", "uniform_weight_vectors"]
 
@@ -324,43 +322,6 @@ class MOEAD:
             self._incumbent_CV[j] = clone.constraint_violation
         return int(improved.size)
 
-    def run(
-        self,
-        generations: int,
-        callback: Callable[["MOEAD"], None] | None = None,
-        checkpoint: "CheckpointManager | None" = None,
-    ) -> "SolveResult":
-        """Run for a fixed number of generations and return the result.
-
-        Mirrors :meth:`repro.moo.nsga2.NSGA2.run`: with a
-        :class:`~repro.runtime.checkpoint.CheckpointManager`, ``generations``
-        is the *total* target — the latest checkpoint is restored first, only
-        the missing generations run, and the state (random generator
-        included) is re-checkpointed on the manager's interval, so a resumed
-        run is bitwise identical to an uninterrupted one.
-        """
-        if generations < 0:
-            raise ConfigurationError("generations must be non-negative")
-        if checkpoint is not None:
-            checkpoint.restore(self)
-        if not self.population:
-            self.initialize()
-        remaining = generations - self.generation if checkpoint is not None else generations
-        for _ in range(max(0, remaining)):
-            self.step()
-            self.history.append(
-                {
-                    "generation": self.generation,
-                    "evaluations": self.evaluations,
-                    "archive_size": len(self.archive),
-                }
-            )
-            if checkpoint is not None:
-                checkpoint.maybe_save(self, self.generation)
-            if callback is not None:
-                callback(self)
-        return self.result()
-
     # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
     # ------------------------------------------------------------------
@@ -387,8 +348,3 @@ class MOEAD:
             history=self.history,
             ledger=self.evaluator.ledger if self.evaluator is not None else None,
         )
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``MOEADResult`` is :class:`repro.solve.SolveResult`."""
-    return deprecated_result_alias(__name__, name, "MOEADResult")

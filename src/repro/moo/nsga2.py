@@ -11,15 +11,11 @@ the Geobacter flux design are handled natively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.deprecation import deprecated_result_alias
-from repro.exceptions import ConfigurationError
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.checkpoint import CheckpointManager
     from repro.runtime.evaluator import Evaluator
     from repro.solve.result import SolveResult
 from repro.moo import kernels
@@ -33,8 +29,8 @@ from repro.moo.operators import (
     sbx_crossover,
     uniform_initialization,
 )
-from repro.moo.problem import Problem
 from repro.moo.validation import check_at_least, check_choice, check_even, check_probability
+from repro.problems.base import Problem
 
 __all__ = ["NSGA2Config", "NSGA2"]
 
@@ -81,7 +77,7 @@ class NSGA2:
     Parameters
     ----------
     problem:
-        The :class:`~repro.moo.problem.Problem` to minimize.
+        The :class:`~repro.problems.base.Problem` to minimize.
     config:
         Hyper-parameters; defaults reproduce the standard NSGA-II settings.
     seed:
@@ -215,41 +211,6 @@ class NSGA2:
         self.archive.add_population(self.population)
         self.generation += 1
 
-    def run(
-        self,
-        generations: int,
-        callback: Callable[["NSGA2"], None] | None = None,
-        checkpoint: "CheckpointManager | None" = None,
-    ) -> "SolveResult":
-        """Run for a fixed number of generations and return the result.
-
-        When a :class:`~repro.runtime.checkpoint.CheckpointManager` is given,
-        ``generations`` is the *total* target: the latest checkpoint (if any)
-        is restored first and only the missing generations are run, with the
-        optimizer state re-checkpointed on the manager's interval.  Restored
-        runs are bitwise identical to uninterrupted ones because the random
-        generator state travels with the checkpoint.
-
-        :func:`repro.solve.solve` is the richer front door to the same loop
-        (pluggable termination, observers); this method remains for direct,
-        single-engine use.
-        """
-        if generations < 0:
-            raise ConfigurationError("generations must be non-negative")
-        if checkpoint is not None:
-            checkpoint.restore(self)
-        if self.population is None:
-            self.initialize()
-        remaining = generations - self.generation if checkpoint is not None else generations
-        for _ in range(max(0, remaining)):
-            self.step()
-            self._record_history()
-            if checkpoint is not None:
-                checkpoint.maybe_save(self, self.generation)
-            if callback is not None:
-                callback(self)
-        return self.result()
-
     # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
     # ------------------------------------------------------------------
@@ -308,19 +269,3 @@ class NSGA2:
         self.population = Population(individuals)
         assign_ranks_and_crowding(self.population)
         self.archive.add_population(self.population)
-
-    def _record_history(self) -> None:
-        assert self.population is not None
-        feasible = self.population.feasible()
-        entry = {
-            "generation": self.generation,
-            "evaluations": self.evaluations,
-            "archive_size": len(self.archive),
-            "feasible_fraction": len(feasible) / max(len(self.population), 1),
-        }
-        self.history.append(entry)
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``NSGA2Result`` is :class:`repro.solve.SolveResult`."""
-    return deprecated_result_alias(__name__, name, "NSGA2Result")

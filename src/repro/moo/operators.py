@@ -20,7 +20,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.moo import kernels
 from repro.moo.individual import Individual, Population
-from repro.moo.problem import Problem
+from repro.problems.base import Problem
 
 __all__ = [
     "sbx_crossover",

@@ -10,9 +10,10 @@ by :func:`PMO2.paper_configuration` — is:
 * migration every 200 generations,
 * migration probability 0.5.
 
-This module exposes a convenience class that assembles that archipelago,
-runs it for a requested budget (generations or objective evaluations), and
-returns the merged non-dominated front together with run statistics.
+This module exposes a convenience class that assembles that archipelago and
+drives it through the :class:`~repro.solve.api.Solver` protocol; run it with
+``solve(problem, "pmo2", termination=...)``, which returns the merged
+non-dominated front together with run statistics.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.deprecation import deprecated_result_alias
-from repro.exceptions import ConfigurationError
 from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
 from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.problem import Problem
 from repro.moo.topology import topology_from_name
 from repro.moo.validation import check_at_least, check_even
-from repro.runtime.checkpoint import CheckpointManager
+from repro.problems.base import Problem
 from repro.runtime.evaluator import Evaluator, build_evaluator
 from repro.runtime.ledger import EvaluationLedger
 
@@ -85,8 +83,7 @@ class PMO2:
     problem:
         Problem to minimize.
     config:
-        PMO2 configuration; ``None`` uses the paper's adopted configuration
-        (scaled migration interval aside, see :meth:`run_evaluations`).
+        PMO2 configuration; ``None`` uses the paper's adopted configuration.
     seed:
         Master seed; island seeds are derived from it deterministically.
     evaluator:
@@ -159,78 +156,6 @@ class PMO2:
         return Archipelago(islands, topology=topology, policy=policy, seed=driver_seed)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        generations: int,
-        checkpoint: CheckpointManager | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 10,
-    ) -> "SolveResult":
-        """Run every island for ``generations`` generations.
-
-        With checkpointing (an explicit manager, or a ``checkpoint_dir`` from
-        which one is built), ``generations`` is the *total* target: the
-        latest checkpoint is restored first and only the missing generations
-        are run.  See :meth:`Archipelago.run`.
-        """
-        if checkpoint is None and checkpoint_dir is not None:
-            checkpoint = CheckpointManager(checkpoint_dir, interval=checkpoint_interval)
-        if checkpoint is not None:
-            # Restore before grabbing the ledger, so the phase timing lands on
-            # the ledger that travelled with the checkpointed evaluator.  The
-            # restore below leaves Archipelago.run's own (generation-guarded)
-            # restore with nothing to do.
-            checkpoint.restore(self.archipelago)
-        ledger = self._ledger()
-        if ledger is not None:
-            with ledger.phase("optimize", only_if_idle=True):
-                result = self.archipelago.run(generations, checkpoint=checkpoint)
-        else:
-            result = self.archipelago.run(generations, checkpoint=checkpoint)
-        return self._package(result)
-
-    def run_evaluations(self, max_evaluations: int) -> "SolveResult":
-        """Run until the archipelago has consumed ``max_evaluations`` evaluations.
-
-        The paper compares algorithms at equal evaluation budgets; this method
-        is the positional-argument equivalent of solving with a
-        :class:`repro.solve.MaxEvaluations` termination.  The loop stops at
-        the first generation boundary at which the budget is met or exceeded.
-        """
-        if max_evaluations <= 0:
-            raise ConfigurationError("max_evaluations must be positive")
-        ledger = self._ledger()
-        if ledger is not None:
-            with ledger.phase("optimize", only_if_idle=True):
-                self.archipelago.initialize()
-                while self.archipelago.total_evaluations < max_evaluations:
-                    self.archipelago.step()
-        else:
-            self.archipelago.initialize()
-            while self.archipelago.total_evaluations < max_evaluations:
-                self.archipelago.step()
-        return self._package(self.archipelago.result())
-
-    def _ledger(self) -> EvaluationLedger | None:
-        """Ledger of the evaluator actually installed on the islands.
-
-        After a checkpoint restore the islands carry the evaluator (and
-        ledger) that travelled with the checkpoint, which is the one whose
-        accounting describes the run.
-        """
-        for island in self.archipelago.islands:
-            evaluator = getattr(island.optimizer, "evaluator", None)
-            if evaluator is not None and evaluator.ledger is not None:
-                return evaluator.ledger
-        return getattr(self.evaluator, "ledger", None)
-
-    def _package(self, result: "SolveResult") -> "SolveResult":
-        """Re-label an archipelago result as PMO2's, attaching the ledger."""
-        result.algorithm = "pmo2"
-        result.ledger = self._ledger()
-        return result
-
-    # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
     # ------------------------------------------------------------------
     @property
@@ -258,11 +183,6 @@ class PMO2:
         """Object whose state checkpoints travel with (the archipelago)."""
         return self.archipelago
 
-    @property
-    def ledger(self) -> EvaluationLedger | None:
-        """Evaluation-budget ledger of the evaluator driving the islands."""
-        return self._ledger()
-
     def initialize(self) -> None:
         """Initialize every island."""
         self.archipelago.initialize()
@@ -277,7 +197,9 @@ class PMO2:
 
     def result(self) -> "SolveResult":
         """Package the archipelago's current state as a :class:`SolveResult`."""
-        return self._package(self.archipelago.result())
+        result = self.archipelago.result()
+        result.algorithm = "pmo2"
+        return result
 
     def close(self) -> None:
         """Release evaluator resources (worker pools); idempotent."""
@@ -299,8 +221,3 @@ class PMO2:
             self.config.n_islands,
             self.config.topology,
         )
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``PMO2Result`` is :class:`repro.solve.SolveResult`."""
-    return deprecated_result_alias(__name__, name, "PMO2Result")

@@ -9,8 +9,8 @@ an optional tuple of per-point ``info`` dictionaries.  The evaluators in
 a batch of evaluations never gets shredded into per-row objects on the hot
 path.
 
-:class:`EvaluationResult` is the historical per-point container; it remains
-the unit the row-wise compatibility shims hand out and the natural return
+:class:`EvaluationResult` is the per-point container: what
+:meth:`BatchEvaluation.result` hands out for one row and the natural return
 type of problems whose physics is inherently per-design (one ODE solve per
 candidate).
 

@@ -18,7 +18,7 @@ The transforms:
 * :class:`ConstraintAsPenalty` — fold constraint violations into the
   objectives with a penalty weight (for unconstrained-only algorithms);
 * :class:`BudgetCounting` — count evaluations and optionally enforce a hard
-  budget (:class:`CountingProblem` is its zero-budget legacy spelling);
+  budget;
 * :class:`Throttled` — sleep a fixed time per evaluated design, simulating
   expensive objective functions (used to exercise the optimization service
   and its benchmarks with realistic job durations);
@@ -56,7 +56,6 @@ __all__ = [
     "ObjectiveSubset",
     "ConstraintAsPenalty",
     "BudgetCounting",
-    "CountingProblem",
     "Throttled",
     "FailAfter",
 ]
@@ -443,19 +442,3 @@ class FailAfter(ProblemTransform):
             )
         self.evaluations += X.shape[0]
         return self.inner.evaluate_matrix(X)
-
-
-class CountingProblem(BudgetCounting):
-    """Pure evaluation counter (the pre-redesign name of uncapped counting).
-
-    Used by benchmarks to enforce equal evaluation budgets between PMO2 and
-    MOEA/D, and by tests that assert on the number of objective evaluations.
-    """
-
-    def __init__(self, inner: Problem) -> None:
-        super().__init__(inner)
-
-    @property
-    def name(self) -> str:
-        """Historic composed name, kept for reports."""
-        return "Counting(%s)" % self.inner.name

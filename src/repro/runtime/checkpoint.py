@@ -6,19 +6,23 @@ written atomically (temp file + rename) so a kill can never leave a corrupt
 its own random generators, restoring a checkpoint and continuing reproduces
 the uninterrupted run bit for bit.
 
-Typical use::
+Typical use, through the one run loop in :func:`repro.solve.solve`::
 
     checkpoint = CheckpointManager("runs/photo", interval=25)
-    PMO2(problem, config, seed=7).run(500, checkpoint=checkpoint)
+    solve(problem, "pmo2", config=config, seed=7, termination=500,
+          checkpoint=checkpoint)
     # ... the process is killed at generation 310 ...
-    PMO2(problem, config, seed=7).run(500, checkpoint=checkpoint)
+    solve(problem, "pmo2", config=config, seed=7, termination=500,
+          checkpoint=checkpoint)
     # resumes from generation 300 and finishes the remaining 200 generations
 
-Checkpointed state is NOT validated against the resuming run's configuration
-or seed: use one directory per (experiment, parameters, seed) combination,
-or the optimizer will silently adopt whatever state the directory holds.
-The CLI enforces this by refusing ``run`` on a directory that already
-contains checkpoints (and ``resume`` on one that contains none).
+A checkpoint only restores into an optimizer of the type that wrote it
+(anything else raises :class:`~repro.exceptions.CheckpointError`), but the
+state is NOT validated against the resuming run's configuration or seed:
+use one directory per (experiment, parameters, seed) combination, or the
+optimizer will silently adopt whatever state the directory holds.  The CLI
+enforces this by refusing ``run`` on a directory that already contains
+checkpoints (and ``resume`` on one that contains none).
 """
 
 from __future__ import annotations
@@ -142,16 +146,22 @@ class CheckpointManager:
     def restore(self, target: Any) -> bool:
         """Roll ``target`` forward to the latest checkpointed state, if newer.
 
-        The checkpointed state must be an object of the same shape as
-        ``target`` (the optimizers checkpoint themselves); its ``__dict__``
-        replaces the target's only when the checkpoint is *ahead* of the
-        target's ``generation``, so live state is never rolled back.  Returns
-        ``True`` when a restore happened.
+        The checkpointed state must be an object of exactly ``target``'s
+        type (the optimizers checkpoint themselves), otherwise
+        :class:`~repro.exceptions.CheckpointError` is raised.  Its
+        ``__dict__`` replaces the target's only when the checkpoint is
+        *ahead* of the target's ``generation``, so live state is never rolled
+        back.  Returns ``True`` when a restore happened.
         """
         restored = self.load_latest()
         if restored is None:
             return False
         state, generation = restored
+        if type(state) is not type(target):
+            raise CheckpointError(
+                "checkpoint %s holds a %s state and cannot be restored into a %s"
+                % (self.latest(), type(state).__name__, type(target).__name__)
+            )
         if generation <= getattr(target, "generation", 0):
             return False
         target.__dict__.update(state.__dict__)

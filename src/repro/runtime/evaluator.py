@@ -20,10 +20,6 @@ a serial run of the same seed (the evaluations are pure functions of the
 decision matrix).  Evaluators are picklable — pools are dropped on pickling
 and lazily rebuilt — which lets checkpointed optimizers carry their evaluator
 (and its cache) across a resume.
-
-The pre-redesign list-shaped entry points (``evaluate(problem, x)`` and
-``evaluate_batch(problem, vectors) -> list[EvaluationResult]``) survive one
-release as deprecated shims over :meth:`Evaluator.evaluate_matrix`.
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ import abc
 import multiprocessing
 import os
 import pickle
-import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # would create a cycle that breaks `import repro.runtime` when it is the
     # first repro package imported in a process.
     from repro.problems.base import Problem
-    from repro.problems.batch import BatchEvaluation, EvaluationResult
+    from repro.problems.batch import BatchEvaluation
 
 __all__ = [
     "Evaluator",
@@ -63,10 +58,7 @@ __all__ = [
 class Evaluator(abc.ABC):
     """Strategy object deciding how decision matrices are evaluated.
 
-    Subclasses implement :meth:`evaluate_matrix` (the batch-first primary
-    path).  Pre-redesign subclasses that only override the legacy
-    ``evaluate_batch`` keep working for one release: the base
-    :meth:`evaluate_matrix` detects the override and adapts it.
+    Subclasses implement :meth:`evaluate_matrix`, the batch-first contract.
 
     Parameters
     ----------
@@ -76,78 +68,11 @@ class Evaluator(abc.ABC):
     """
 
     def __init__(self, ledger: EvaluationLedger | None = None) -> None:
-        # Fail at construction, not at the first batch mid-run, when a
-        # subclass implements neither hook (mirrors Problem.__init__).
-        if (
-            type(self).evaluate_matrix is Evaluator.evaluate_matrix
-            and type(self).evaluate_batch is Evaluator.evaluate_batch
-        ):
-            raise TypeError(
-                "%s implements neither evaluate_matrix nor the legacy "
-                "evaluate_batch" % type(self).__name__
-            )
         self.ledger = ledger
 
-    # ------------------------------------------------------------------
-    # The batch-first contract
-    # ------------------------------------------------------------------
+    @abc.abstractmethod
     def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
         """Evaluate an ``(n, n_var)`` decision matrix, preserving row order."""
-        if type(self).evaluate_batch is not Evaluator.evaluate_batch:
-            # Pre-redesign subclass: its `evaluate_batch` override is the
-            # implementation, so calling it directly stays warning-free.
-            from repro.problems.batch import BatchEvaluation
-
-            X = problem.validate_matrix(X)
-            if X.shape[0] == 0:
-                return BatchEvaluation.empty(problem.n_obj)
-            return BatchEvaluation.from_results(
-                self.evaluate_batch(problem, list(X))
-            )
-        raise TypeError(
-            "%s implements neither evaluate_matrix nor the legacy "
-            "evaluate_batch" % type(self).__name__
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated compatibility shims (one release)
-    # ------------------------------------------------------------------
-    def evaluate(self, problem: "Problem", x: np.ndarray) -> "EvaluationResult":
-        """Evaluate a single decision vector.  Deprecated scalar shim.
-
-        .. deprecated::
-            Use :meth:`evaluate_matrix` with a one-row matrix.
-        """
-        warnings.warn(
-            "Evaluator.evaluate(problem, x) is deprecated; use "
-            "evaluate_matrix(problem, x[None, :]) and read the batch columns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate_matrix(problem, np.asarray(x, dtype=float)[None, :]).result(0)
-
-    def evaluate_batch(
-        self, problem: "Problem", vectors: Sequence[np.ndarray]
-    ) -> "list[EvaluationResult]":
-        """Evaluate several decision vectors.  Deprecated list-shaped shim.
-
-        .. deprecated::
-            Use :meth:`evaluate_matrix`; this wrapper stacks ``vectors`` into
-            a matrix and shreds the columnar result back into a list of
-            :class:`~repro.problems.batch.EvaluationResult`.
-        """
-        warnings.warn(
-            "Evaluator.evaluate_batch(problem, vectors) is deprecated; use "
-            "evaluate_matrix(problem, X) and read the batch columns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        vectors = list(vectors)
-        if not vectors:
-            return []
-        return self.evaluate_matrix(
-            problem, np.asarray(vectors, dtype=float)
-        ).results()
 
     # ------------------------------------------------------------------
     def _record(self, **counters) -> None:
@@ -627,11 +552,12 @@ def build_evaluator(
 
     Example
     -------
-    A cached 4-worker evaluator for any optimizer's ``evaluator=`` knob::
+    A cached 4-worker evaluator for :func:`repro.solve.solve`'s
+    ``evaluator=`` knob (caller-owned, so closed here, not by the run)::
 
         with build_evaluator(n_workers=4, cache=True) as evaluator:
-            optimizer = NSGA2(problem, seed=7, evaluator=evaluator)
-            result = optimizer.run(100)
+            result = solve(problem, "nsga2", seed=7, termination=100,
+                           evaluator=evaluator)
         print(evaluator.ledger.summary())
     """
     ledger = ledger if ledger is not None else EvaluationLedger()

@@ -9,8 +9,7 @@ One stable contract in front of every optimization engine:
   (``initialize`` / ``step`` / counters / ``pareto_front`` / ``result``);
 * :class:`SolverSpec` / :func:`get_solver` / :func:`solver_names` — the
   solver registry (``nsga2``, ``moead``, ``pmo2``, ``archipelago``);
-* :class:`SolveResult` — the one result type, replacing the four per-engine
-  result dataclasses (kept as deprecated aliases for one release);
+* :class:`SolveResult` — the one result type every engine returns;
 * :mod:`~repro.solve.termination` — composable stopping rules
   (:class:`MaxGenerations`, :class:`MaxEvaluations`, :class:`WallClock`,
   :class:`HypervolumeStagnation`, combined with ``&`` / ``|``);
@@ -28,8 +27,8 @@ Any engine, one call::
                    termination=MaxGenerations(100))
     print(result.evaluations, result.front_objectives())
 
-See ``docs/solving.md`` for the full guide and the migration notes from the
-old per-engine ``run()`` signatures.
+See ``docs/solving.md`` for the full guide and the table of the removed
+per-engine ``run()`` signatures with their ``solve()`` replacements.
 """
 
 from repro.solve.api import Solver, solve

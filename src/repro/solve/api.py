@@ -1,17 +1,17 @@
 """The unified ``solve()`` entry point and the :class:`Solver` protocol.
 
 Every optimization engine in this library — NSGA-II, MOEA/D, PMO2 and the
-generic archipelago — runs through the single generic loop in this module.
-The loop owns everything the engines used to duplicate in their ``run()``
-methods: checkpoint restore/save, termination, evaluator assembly and
-tear-down, ledger phases, per-generation history, and the streaming of
-:mod:`repro.solve.events` to observers.  Engines only provide the
-:class:`Solver` protocol surface (``initialize`` / ``step`` / counters /
-front snapshots).
+generic archipelago — runs through the single generic loop in this module;
+the engines have no run loop of their own.  The loop owns checkpoint
+restore/save, termination, evaluator assembly and tear-down, ledger phases,
+per-generation history, and the streaming of :mod:`repro.solve.events` to
+observers.  Engines only provide the :class:`Solver` protocol surface
+(``initialize`` / ``step`` / counters / front snapshots).
 
-Determinism: the loop performs exactly the same ``initialize()`` +
-``step() x N`` sequence as the engines' own ``run()`` methods, so a
-``solve(...)`` run is bitwise identical to the engine run of the same seed.
+Determinism: the loop performs exactly an ``initialize()`` + ``step() x N``
+sequence, so a ``solve(...)`` run is bitwise identical to stepping a
+hand-built engine of the same seed N times — with or without worker pools,
+caches or a checkpoint resume in between.
 
 Example
 -------
@@ -27,6 +27,7 @@ All four engines, one code path::
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
@@ -49,7 +50,7 @@ from repro.solve.termination import Termination, as_termination
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.moo.individual import Population
-    from repro.moo.problem import Problem
+    from repro.problems.base import Problem
     from repro.runtime.evaluator import Evaluator
 
 __all__ = ["Solver", "solve"]
@@ -91,27 +92,21 @@ class Solver(Protocol):
         ...
 
 
-def _ledger_of(engine: Any, evaluator: "Evaluator | None") -> EvaluationLedger | None:
-    """Ledger actually accounting for ``engine``'s evaluations, if any.
+def _ledger_of(target: Any, evaluator: "Evaluator | None") -> EvaluationLedger | None:
+    """Ledger actually accounting for the run's evaluations, if any.
 
-    Checked in order: an explicit ``ledger`` property on the engine (PMO2
-    exposes the islands' post-restore ledger there), the engine's own
-    evaluator, island evaluators, and finally the evaluator handed to
-    :func:`solve`.
+    ``target`` is the checkpoint target, so after a restore this finds the
+    ledger that travelled with the checkpointed evaluator.  Checked in
+    order: the evaluators installed on the target's islands (archipelagos)
+    or on the target itself, then the evaluator handed to :func:`solve`.
     """
-    ledger = getattr(engine, "ledger", None)
-    if isinstance(ledger, EvaluationLedger):
-        return ledger
-    own = getattr(engine, "evaluator", None)
-    if own is not None and getattr(own, "ledger", None) is not None:
-        return own.ledger
-    for island in getattr(engine, "islands", ()) or ():
-        island_evaluator = getattr(island.optimizer, "evaluator", None)
-        if island_evaluator is not None and island_evaluator.ledger is not None:
-            return island_evaluator.ledger
-    if evaluator is not None:
-        return evaluator.ledger
-    return None
+    islands = getattr(target, "islands", None)
+    owners = [island.optimizer for island in islands] if islands else [target]
+    for owner in owners:
+        own = getattr(owner, "evaluator", None)
+        if own is not None and own.ledger is not None:
+            return own.ledger
+    return evaluator.ledger if evaluator is not None else None
 
 
 def _initialize(engine: Any, initial_population: Any) -> None:
@@ -284,7 +279,7 @@ def solve(
     Parameters
     ----------
     problem:
-        The :class:`~repro.moo.problem.Problem` to minimize.
+        The :class:`~repro.problems.base.Problem` to minimize.
     algorithm:
         Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``,
         ``"archipelago"``) or a :class:`~repro.solve.registry.SolverSpec`.
@@ -391,20 +386,12 @@ def solve(
                         getattr(engine, "config", None), "population_size", None
                     ),
                 )
-            ledger = _ledger_of(engine, evaluator)
-            if ledger is not None:
-                with ledger.phase("optimize", only_if_idle=True):
-                    history = _drive(
-                        engine,
-                        stopping,
-                        observers,
-                        checkpoint,
-                        target,
-                        info,
-                        ledger,
-                        initial_population,
-                    )
-            else:
+            ledger = _ledger_of(target, evaluator)
+            with (
+                ledger.phase("optimize", only_if_idle=True)
+                if ledger is not None
+                else contextlib.nullcontext()
+            ):
                 history = _drive(
                     engine,
                     stopping,

@@ -28,7 +28,7 @@ from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.pmo2 import PMO2, PMO2Config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.moo.problem import Problem
+    from repro.problems.base import Problem
     from repro.runtime.evaluator import Evaluator
 
 __all__ = [

@@ -9,10 +9,6 @@ the final population, the non-dominated archive (and therefore the front),
 run counters, the evaluation-budget ledger, checkpoint information and a
 free-form ``extras`` dictionary for per-solver by-products (PMO2's island
 fronts, for example).
-
-The old names are kept for one release as deprecated aliases of this class;
-importing them emits a :class:`DeprecationWarning` (see
-:mod:`repro.moo.nsga2` & friends).
 """
 
 from __future__ import annotations

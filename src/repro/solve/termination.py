@@ -93,8 +93,7 @@ class MaxEvaluations(Termination):
 
     This is the equal-budget comparison mode of the paper's Table 1: the
     check happens between generations, so the budget may be exceeded by at
-    most one generation's worth of evaluations (exactly like the engines'
-    former ``run_evaluations`` loops).
+    most one generation's worth of evaluations.
     """
 
     def __init__(self, evaluations: int) -> None:

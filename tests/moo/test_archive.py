@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.dominance import dominates
 from repro.moo.individual import Individual
-from repro.moo.problem import EvaluationResult
+from repro.problems import EvaluationResult
 
 
 def make(objectives, violation=0.0, x=None):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual, Population
-from repro.moo.problem import EvaluationResult
+from repro.problems import EvaluationResult
 from repro.moo.testproblems import Schaffer
 
 

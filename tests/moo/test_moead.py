@@ -7,6 +7,13 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
+from repro.solve import CallbackObserver, solve
+from tests.stepping import stepped
+
+
+def _run(problem, config, seed, generations, **kwargs):
+    return solve(problem, "moead", config=config, seed=seed,
+                 termination=generations, **kwargs)
 
 
 class TestWeightVectors:
@@ -51,33 +58,29 @@ class TestConfigValidation:
 
 class TestMOEADRun:
     def test_population_size_and_generations(self):
-        optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), seed=0)
-        result = optimizer.run(5)
+        result = _run(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), 0, 5)
         assert len(result.population) == 20
         assert result.generations == 5
 
     def test_evaluation_budget(self):
-        optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), seed=0)
-        result = optimizer.run(5)
+        result = _run(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), 0, 5)
         # Initialization + one offspring per sub-problem per generation.
         assert result.evaluations == 20 + 20 * 5
 
     def test_negative_generations_rejected(self):
-        optimizer = MOEAD(Schaffer(), seed=0)
         with pytest.raises(ConfigurationError):
-            optimizer.run(-2)
+            _run(Schaffer(), None, 0, -2)
 
     def test_ideal_point_tracks_minimum(self):
         optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=16, neighborhood_size=4), seed=1)
-        optimizer.run(5)
+        stepped(optimizer, 5)
         matrix = optimizer.archive.objective_matrix()
         assert optimizer.ideal[0] <= matrix[:, 0].min() + 1e-9
         assert optimizer.ideal[1] <= matrix[:, 1].min() + 1e-9
 
     def test_converges_on_schaffer(self):
         problem = Schaffer()
-        optimizer = MOEAD(problem, MOEADConfig(population_size=30, neighborhood_size=8), seed=2)
-        result = optimizer.run(40)
+        result = _run(problem, MOEADConfig(population_size=30, neighborhood_size=8), 2, 40)
         igd = inverted_generational_distance(
             result.archive.objective_matrix(), problem.true_front()
         )
@@ -85,26 +88,25 @@ class TestMOEADRun:
 
     def test_sbx_variation_mode_runs(self):
         config = MOEADConfig(population_size=12, neighborhood_size=4, variation="sbx")
-        optimizer = MOEAD(ZDT1(n_var=6), config, seed=3)
-        result = optimizer.run(3)
+        result = _run(ZDT1(n_var=6), config, 3, 3)
         assert len(result.front) > 0
 
     def test_three_objective_problem_runs(self):
-        optimizer = MOEAD(
+        result = _run(
             DTLZ2(n_obj=3, n_var=7),
             MOEADConfig(population_size=21, neighborhood_size=5),
-            seed=4,
+            4,
+            5,
         )
-        result = optimizer.run(5)
         assert result.archive.objective_matrix().shape[1] == 3
 
     def test_seed_reproducibility(self):
         fronts = []
         for _ in range(2):
-            optimizer = MOEAD(
-                Schaffer(), MOEADConfig(population_size=12, neighborhood_size=4), seed=11
+            result = _run(
+                Schaffer(), MOEADConfig(population_size=12, neighborhood_size=4), 11, 5
             )
-            fronts.append(optimizer.run(5).archive.objective_matrix())
+            fronts.append(result.archive.objective_matrix())
         assert np.allclose(fronts[0], fronts[1])
 
 
@@ -116,7 +118,7 @@ class TestMOEADCheckpointParity:
 
         manager = CheckpointManager(tmp_path, interval=2)
         config = MOEADConfig(population_size=12, neighborhood_size=4)
-        MOEAD(Schaffer(), config, seed=5).run(6, checkpoint=manager)
+        _run(Schaffer(), config, 5, 6, checkpoint=manager)
         assert [path.name for path in manager.checkpoints()] == [
             "checkpoint-00000002.pkl",
             "checkpoint-00000004.pkl",
@@ -129,11 +131,11 @@ class TestMOEADCheckpointParity:
         def config():
             return MOEADConfig(population_size=12, neighborhood_size=4)
 
-        uninterrupted = MOEAD(Schaffer(), config(), seed=5).run(8)
+        uninterrupted = _run(Schaffer(), config(), 5, 8)
 
         manager = CheckpointManager(tmp_path, interval=3)
-        MOEAD(Schaffer(), config(), seed=5).run(5, checkpoint=manager)
-        resumed = MOEAD(Schaffer(), config(), seed=5).run(8, checkpoint=manager)
+        _run(Schaffer(), config(), 5, 5, checkpoint=manager)
+        resumed = _run(Schaffer(), config(), 5, 8, checkpoint=manager)
 
         assert resumed.generations == 8
         assert resumed.evaluations == uninterrupted.evaluations
@@ -149,9 +151,10 @@ class TestMOEADCheckpointParity:
     def test_callback_runs_every_generation(self):
         generations = []
         config = MOEADConfig(population_size=12, neighborhood_size=4)
-        MOEAD(Schaffer(), config, seed=5).run(
-            4, callback=lambda engine: generations.append(engine.generation)
+        observer = CallbackObserver(
+            on_generation=lambda event: generations.append(event.generation)
         )
+        _run(Schaffer(), config, 5, 4, observers=[observer])
         assert generations == [1, 2, 3, 4]
 
 
@@ -163,7 +166,7 @@ class TestAdaptiveNeighborhoodDefault:
         assert MOEADConfig(population_size=8).resolved_neighborhood_size() == 4
         # The programmatic API works at small populations without an explicit
         # neighborhood_size, exactly like the CLI.
-        result = MOEAD(Schaffer(), MOEADConfig(population_size=8), seed=0).run(2)
+        result = _run(Schaffer(), MOEADConfig(population_size=8), 0, 2)
         assert result.generations == 2
 
     def test_explicit_oversized_neighborhood_still_rejected(self):

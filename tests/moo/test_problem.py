@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.moo.problem import CountingProblem, EvaluationResult, FunctionalProblem
+from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem
 
 
 def make_problem():
@@ -126,7 +126,7 @@ class TestProblemHelpers:
 
 class TestCountingProblem:
     def test_counts_every_evaluation(self):
-        counter = CountingProblem(make_problem())
+        counter = BudgetCounting(make_problem())
         counter.evaluate_matrix(np.zeros((3, 2)))
         counter.evaluate_matrix(np.zeros((2, 2)))
         assert counter.evaluations == 5
@@ -135,7 +135,7 @@ class TestCountingProblem:
 
     def test_preserves_inner_metadata(self):
         inner = make_problem()
-        counter = CountingProblem(inner)
+        counter = BudgetCounting(inner)
         assert counter.n_var == inner.n_var
         assert counter.n_obj == inner.n_obj
         assert "Counting" in counter.name

@@ -18,7 +18,7 @@ from repro.moo.individual import Individual, Population
 from repro.moo.metrics import hypervolume
 from repro.moo.mining import closest_to_ideal, ideal_point
 from repro.moo.operators import polynomial_mutation, sbx_crossover
-from repro.moo.problem import EvaluationResult
+from repro.problems import EvaluationResult
 from repro.moo.robustness import PerturbationModel, robustness_condition
 
 objective_matrices = arrays(

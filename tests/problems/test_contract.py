@@ -1,4 +1,4 @@
-"""Tests for the batch-first Problem contract and its compatibility shims."""
+"""Tests for the batch-first Problem contract."""
 
 import numpy as np
 import pytest
@@ -41,14 +41,14 @@ class RowProblem(Problem):
         )
 
 
-class LegacyProblem(Problem):
-    """Pre-redesign subclass overriding the old public scalar method."""
+class CountingRowProblem(Problem):
+    """Per-design problem counting how often its row hook runs."""
 
     def __init__(self):
         super().__init__(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
         self.calls = 0
 
-    def evaluate(self, x):
+    def _evaluate_row(self, x):
         self.calls += 1
         return EvaluationResult(objectives=np.array([float(x[0]) * 2.0]))
 
@@ -69,44 +69,25 @@ class TestMatrixDispatch:
         assert batch.n_con == 1
         assert list(batch.feasible) == [True, False]
 
-    def test_legacy_evaluate_override_is_adapted_without_warning(self):
-        problem = LegacyProblem()
-        import warnings
+    def test_evaluate_only_subclass_fails_at_construction(self):
+        class ScalarOnly(Problem):
+            """Pre-redesign subclass overriding only the removed scalar method."""
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            batch = problem.evaluate_matrix(np.array([[0.5], [1.0]]))
-        assert batch.F[:, 0] == pytest.approx([1.0, 2.0])
-        assert problem.calls == 2
+            def evaluate(self, x):  # pragma: no cover - never called
+                return EvaluationResult(objectives=np.array([float(x[0])]))
 
-    def test_legacy_evaluate_batch_override_is_the_batch_implementation(self):
-        class LegacyVectorized(Problem):
-            """Pre-redesign subclass using the old vectorized extension point."""
+        with pytest.raises(TypeError, match="ScalarOnly"):
+            ScalarOnly(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
 
-            def __init__(self):
-                super().__init__(
-                    n_var=2, n_obj=1, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0]
-                )
-                self.batch_calls = 0
-                self.scalar_calls = 0
+    def test_evaluate_batch_only_subclass_fails_at_construction(self):
+        class ListShapedOnly(Problem):
+            """Pre-redesign subclass overriding only the removed list method."""
 
-            def evaluate(self, x):
-                self.scalar_calls += 1
-                return EvaluationResult(objectives=np.array([float(np.sum(x))]))
+            def evaluate_batch(self, vectors):  # pragma: no cover - never called
+                return [EvaluationResult(objectives=np.array([0.0])) for _ in vectors]
 
-            def evaluate_batch(self, vectors):
-                self.batch_calls += 1
-                matrix = np.asarray(list(vectors), dtype=float)
-                return [
-                    EvaluationResult(objectives=np.array([value]))
-                    for value in np.sum(matrix, axis=1)
-                ]
-
-        problem = LegacyVectorized()
-        batch = problem.evaluate_matrix(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert batch.F[:, 0] == pytest.approx([0.3, 0.7])
-        assert problem.batch_calls == 1
-        assert problem.scalar_calls == 0  # the vectorized override won
+        with pytest.raises(TypeError, match="ListShapedOnly"):
+            ListShapedOnly(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
 
     def test_infinite_bounds_stay_legal(self):
         # Pre-redesign problems could declare half-open boxes and supply
@@ -125,7 +106,7 @@ class TestMatrixDispatch:
         assert len(batch) == 1
 
     def test_empty_matrix_short_circuits(self):
-        problem = LegacyProblem()
+        problem = CountingRowProblem()
         batch = problem.evaluate_matrix(np.empty((0, 1)))
         assert len(batch) == 0 and problem.calls == 0
 
@@ -193,45 +174,3 @@ class TestDesignSpaceIntegration:
         a = problem.random_solution(np.random.default_rng(11))
         b = np.random.default_rng(11).uniform(problem.lower_bounds, problem.upper_bounds)
         assert np.array_equal(a, b)
-
-
-class TestDeprecatedShims:
-    def test_scalar_evaluate_warns_and_matches_matrix_path(self):
-        problem = MatrixFirstProblem()
-        x = np.array([0.1, 0.2, 0.3])
-        with pytest.warns(DeprecationWarning, match="evaluate_matrix"):
-            result = problem.evaluate(x)
-        assert np.array_equal(result.objectives, problem.evaluate_matrix(x[None, :]).F[0])
-
-    def test_list_shaped_evaluate_batch_warns_and_matches(self):
-        problem = RowProblem()
-        vectors = [np.array([0.2, 0.5]), np.array([0.4, 0.1])]
-        with pytest.warns(DeprecationWarning, match="evaluate_matrix"):
-            results = problem.evaluate_batch(vectors)
-        batch = problem.evaluate_matrix(np.vstack(vectors))
-        assert np.array_equal(
-            np.vstack([r.objectives for r in results]), batch.F
-        )
-
-    def test_empty_evaluate_batch_still_returns_a_list(self):
-        with pytest.warns(DeprecationWarning):
-            assert MatrixFirstProblem().evaluate_batch([]) == []
-
-    def test_legacy_override_does_not_warn_when_called_directly(self):
-        import warnings
-
-        problem = LegacyProblem()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = problem.evaluate(np.array([0.5]))
-        assert result.objectives == pytest.approx([1.0])
-
-    def test_evaluator_shims_warn(self):
-        from repro.runtime import SerialEvaluator
-
-        evaluator = SerialEvaluator()
-        problem = MatrixFirstProblem()
-        with pytest.warns(DeprecationWarning, match="evaluate_matrix"):
-            evaluator.evaluate(problem, np.zeros(3))
-        with pytest.warns(DeprecationWarning, match="evaluate_matrix"):
-            evaluator.evaluate_batch(problem, [np.zeros(3)])

@@ -8,7 +8,6 @@ from repro.moo.testproblems import ZDT1, ConstrainedBNH
 from repro.problems import (
     BudgetCounting,
     ConstraintAsPenalty,
-    CountingProblem,
     Noisy,
     Normalized,
     ObjectiveSubset,
@@ -126,7 +125,7 @@ class TestBudgetCounting:
         assert problem.evaluations == 0
 
     def test_budget_is_enforced_before_evaluation(self):
-        problem = BudgetCounting(CountingProblem(ZDT1(n_var=4)), max_evaluations=4)
+        problem = BudgetCounting(BudgetCounting(ZDT1(n_var=4)), max_evaluations=4)
         problem.evaluate_matrix(_sample(problem, 3))
         assert problem.remaining == 1
         with pytest.raises(EvaluationError):
@@ -134,14 +133,6 @@ class TestBudgetCounting:
         # The refused batch never reached the inner problem.
         assert problem.inner.evaluations == 3
         assert problem.evaluations == 3
-
-    def test_counting_problem_compatibility_surface(self):
-        inner = ZDT1(n_var=4)
-        counter = CountingProblem(inner)
-        assert counter.inner is inner
-        assert counter.name == "Counting(ZDT1)"
-        counter.evaluate_matrix(_sample(counter, 2))
-        assert counter.evaluations == 2
 
 
 class TestStacking:

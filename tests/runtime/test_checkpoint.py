@@ -1,4 +1,8 @@
-"""Tests for checkpoint/resume: manager mechanics and optimizer equivalence."""
+"""Tests for checkpoint/resume: manager mechanics and optimizer equivalence.
+
+Resumed ``solve()`` runs are checked against an uninterrupted reference
+built by the plain ``initialize(); step() x N`` loop on a hand-built engine.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.pmo2 import PMO2, PMO2Config
 from repro.moo.testproblems import ZDT1
 from repro.runtime import CheckpointManager
+from repro.solve import solve
+from tests.stepping import stepped
 
 
 class TestManager:
@@ -50,6 +56,16 @@ class TestManager:
         with pytest.raises(CheckpointError):
             manager.load()
 
+    def test_foreign_optimizer_state_is_rejected(self, tmp_path):
+        # An NSGA-II checkpoint directory resumed by MOEA/D must fail loudly
+        # instead of grafting NSGA-II state onto the MOEA/D engine.
+        problem = ZDT1(n_var=6)
+        solve(problem, "nsga2", population_size=8, seed=0, termination=4,
+              checkpoint_dir=str(tmp_path), checkpoint_interval=2)
+        with pytest.raises(CheckpointError, match="NSGA2.*MOEAD"):
+            solve(problem, "moead", population_size=8, seed=0, termination=6,
+                  checkpoint_dir=str(tmp_path))
+
     def test_rejects_bad_configuration(self, tmp_path):
         with pytest.raises(ConfigurationError):
             CheckpointManager(tmp_path, interval=0)
@@ -57,21 +73,25 @@ class TestManager:
             CheckpointManager(tmp_path, keep=0)
 
 
-def _pmo2(seed=7):
-    config = PMO2Config(island_population_size=8, migration_interval=3)
-    return PMO2(ZDT1(n_var=6), config, seed=seed)
+def _config():
+    return PMO2Config(island_population_size=8, migration_interval=3)
+
+
+def _pmo2(generations, **checkpointing):
+    return solve(ZDT1(n_var=6), "pmo2", config=_config(), seed=7,
+                 termination=generations, **checkpointing)
 
 
 class TestPMO2Resume:
     def test_killed_run_resumes_to_identical_archive(self, tmp_path):
-        baseline = _pmo2().run(12)
+        baseline = stepped(PMO2(ZDT1(n_var=6), _config(), seed=7), 12).result()
 
         # Simulate a run killed at generation 7 (checkpoints land at 4).
         manager = CheckpointManager(tmp_path, interval=4)
-        _pmo2().run(7, checkpoint=manager)
+        _pmo2(7, checkpoint=manager)
         assert manager.latest() is not None
 
-        resumed = _pmo2().run(12, checkpoint=manager)
+        resumed = _pmo2(12, checkpoint=manager)
         assert resumed.generations == 12
         assert np.array_equal(
             baseline.front_objectives(), resumed.front_objectives()
@@ -81,20 +101,20 @@ class TestPMO2Resume:
 
     def test_completed_run_does_not_rerun(self, tmp_path):
         manager = CheckpointManager(tmp_path, interval=4)
-        first = _pmo2().run(8, checkpoint=manager)
-        again = _pmo2().run(8, checkpoint=manager)
+        first = _pmo2(8, checkpoint=manager)
+        again = _pmo2(8, checkpoint=manager)
         assert again.generations == 8
         assert np.array_equal(first.front_objectives(), again.front_objectives())
 
     def test_checkpoint_dir_convenience_knob(self, tmp_path):
-        result = _pmo2().run(6, checkpoint_dir=str(tmp_path), checkpoint_interval=3)
+        result = _pmo2(6, checkpoint_dir=str(tmp_path), checkpoint_interval=3)
         assert result.generations == 6
         assert any(path.name.startswith("checkpoint-") for path in tmp_path.iterdir())
 
     def test_resumed_ledger_keeps_counting(self, tmp_path):
         manager = CheckpointManager(tmp_path, interval=3)
-        partial = _pmo2().run(3, checkpoint=manager)
-        resumed = _pmo2().run(6, checkpoint=manager)
+        partial = _pmo2(3, checkpoint=manager)
+        resumed = _pmo2(6, checkpoint=manager)
         assert resumed.ledger is not None
         assert resumed.ledger.total_evaluations > partial.ledger.total_evaluations
 
@@ -103,11 +123,13 @@ class TestNSGA2Resume:
     def test_killed_run_resumes_to_identical_archive(self, tmp_path):
         problem = ZDT1(n_var=6)
         config = NSGA2Config(population_size=8)
-        baseline = NSGA2(problem, config, seed=3).run(10)
+        baseline = stepped(NSGA2(problem, config, seed=3), 10).result()
 
         manager = CheckpointManager(tmp_path, interval=4)
-        NSGA2(problem, config, seed=3).run(6, checkpoint=manager)
-        resumed = NSGA2(problem, config, seed=3).run(10, checkpoint=manager)
+        solve(problem, "nsga2", config=config, seed=3, termination=6, checkpoint=manager)
+        resumed = solve(
+            problem, "nsga2", config=config, seed=3, termination=10, checkpoint=manager
+        )
 
         assert resumed.generations == 10
         assert np.array_equal(

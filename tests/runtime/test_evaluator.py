@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.problem import CountingProblem, EvaluationResult, FunctionalProblem, Problem
+from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem, Problem
 from repro.moo.testproblems import ZDT1, FonsecaFleming, Schaffer
 from repro.runtime import (
     CachedEvaluator,
@@ -22,15 +22,13 @@ class WorkerHostileProblem(Problem):
     """Evaluates fine in the parent process but raises in any other process.
 
     Used to exercise the pool's graceful degradation when a worker fails.
-    Implements the *legacy* scalar override on purpose, so the pre-redesign
-    subclass path stays covered too.
     """
 
     def __init__(self):
         super().__init__(n_var=2, n_obj=2, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0])
         self.parent_pid = os.getpid()
 
-    def evaluate(self, x):
+    def _evaluate_row(self, x):
         if os.getpid() != self.parent_pid:
             raise RuntimeError("synthetic worker failure")
         arr = self.validate(x)
@@ -73,7 +71,7 @@ class TestMatrixApi:
         assert batch.F.shape == (0, problem.n_obj)
 
     def test_counting_problem_counts_rows(self):
-        counting = CountingProblem(Schaffer())
+        counting = BudgetCounting(Schaffer())
         counting.evaluate_matrix(_matrix(counting, 5))
         assert counting.evaluations == 5
 
@@ -144,7 +142,7 @@ class TestProcessPoolEvaluator:
 class TestCachedEvaluator:
     def test_hit_and_miss_accounting(self):
         ledger = EvaluationLedger()
-        counting = CountingProblem(ZDT1(n_var=4))
+        counting = BudgetCounting(ZDT1(n_var=4))
         cached = CachedEvaluator(inner=SerialEvaluator(ledger=ledger), ledger=ledger)
         X = _matrix(counting, 4)
         first = cached.evaluate_matrix(counting, X)
@@ -157,7 +155,7 @@ class TestCachedEvaluator:
         assert np.array_equal(first.F, again.F)
 
     def test_duplicates_inside_one_batch_evaluate_once(self):
-        counting = CountingProblem(Schaffer())
+        counting = BudgetCounting(Schaffer())
         cached = CachedEvaluator()
         X = np.array([[0.5], [0.5], [0.5]])
         batch = cached.evaluate_matrix(counting, X)
@@ -167,7 +165,7 @@ class TestCachedEvaluator:
         assert np.array_equal(batch.F[0], batch.F[2])
 
     def test_quantization_merges_floating_point_dust(self):
-        counting = CountingProblem(Schaffer())
+        counting = BudgetCounting(Schaffer())
         cached = CachedEvaluator(decimals=6)
         cached.evaluate_matrix(counting, np.array([[0.5]]))
         cached.evaluate_matrix(counting, np.array([[0.5 + 1e-9]]))
@@ -228,7 +226,7 @@ class TestCachedEvaluator:
         cached = CachedEvaluator()
         X = np.array([[0.5, 0.5]])
         cached.evaluate_matrix(build_problem("zdt1?n_var=2"), X)
-        counting = CountingProblem(build_problem("zdt1?n_var=2"))
+        counting = BudgetCounting(build_problem("zdt1?n_var=2"))
         cached.evaluate_matrix(counting, X)
         assert counting.evaluations == 0  # served from the sibling's entry
 
@@ -260,22 +258,20 @@ class TestBuildEvaluator:
 
 
 class TestLegacyEvaluatorSubclass:
-    def test_evaluate_batch_override_adapts_to_the_matrix_path(self):
+    def test_evaluate_batch_only_subclass_fails_at_construction(self):
         from repro.runtime.evaluator import Evaluator
 
         class ListShapedEvaluator(Evaluator):
-            """Pre-redesign evaluator implementing only the list API."""
+            """Pre-redesign evaluator implementing only the removed list API."""
 
-            def evaluate_batch(self, problem, vectors):
+            def evaluate_batch(self, problem, vectors):  # pragma: no cover
                 return [
                     problem.evaluate_matrix(np.asarray(v)[None, :]).result(0)
                     for v in vectors
                 ]
 
-        problem = ZDT1(n_var=5)
-        X = _matrix(problem, 6)
-        batch = ListShapedEvaluator().evaluate_matrix(problem, X)
-        assert np.array_equal(batch.F, problem.evaluate_matrix(X).F)
+        with pytest.raises(TypeError, match="ListShapedEvaluator"):
+            ListShapedEvaluator()
 
     def test_subclass_without_any_hook_fails_at_construction(self):
         from repro.runtime.evaluator import Evaluator

@@ -15,6 +15,8 @@ from repro.moo.robustness import (
 )
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime import ProcessPoolEvaluator, build_evaluator
+from repro.solve import solve
+from tests.stepping import stepped
 
 
 def _zdt1_f1(x):
@@ -50,12 +52,14 @@ def test_runtime_imports_standalone():
 
 
 class TestPooledDeterminism:
+    """Pooled and cached solve() runs against the serial stepping loop."""
+
     def test_pmo2_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
         config = dict(island_population_size=8, migration_interval=3)
-        serial = PMO2(problem, PMO2Config(**config), seed=11).run(6)
-        with PMO2(problem, PMO2Config(**config, n_workers=2), seed=11) as pooled_pmo2:
-            pooled = pooled_pmo2.run(6)
+        serial = stepped(PMO2(problem, PMO2Config(**config), seed=11), 6).result()
+        pooled = solve(problem, "pmo2", config=PMO2Config(**config, n_workers=2),
+                       seed=11, termination=6)
         assert np.array_equal(serial.front_objectives(), pooled.front_objectives())
         assert np.array_equal(serial.front_decisions(), pooled.front_decisions())
         assert serial.evaluations == pooled.evaluations
@@ -63,19 +67,19 @@ class TestPooledDeterminism:
     def test_pmo2_cache_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
         config = dict(island_population_size=8, migration_interval=3)
-        serial = PMO2(problem, PMO2Config(**config), seed=11).run(6)
-        cached = PMO2(
-            problem, PMO2Config(**config, cache_evaluations=True), seed=11
-        ).run(6)
+        serial = stepped(PMO2(problem, PMO2Config(**config), seed=11), 6).result()
+        cached = solve(problem, "pmo2", config=PMO2Config(**config, cache_evaluations=True),
+                       seed=11, termination=6)
         assert np.array_equal(serial.front_objectives(), cached.front_objectives())
         assert cached.ledger.total_cache_hits > 0
 
     def test_nsga2_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
         config = NSGA2Config(population_size=8)
-        serial = NSGA2(problem, config, seed=5).run(6)
+        serial = stepped(NSGA2(problem, config, seed=5), 6).result()
         with build_evaluator(n_workers=2) as evaluator:
-            pooled = NSGA2(problem, config, seed=5, evaluator=evaluator).run(6)
+            pooled = solve(problem, "nsga2", config=config, seed=5, termination=6,
+                           evaluator=evaluator)
         assert np.array_equal(
             serial.archive.objective_matrix(), pooled.archive.objective_matrix()
         )
@@ -83,17 +87,19 @@ class TestPooledDeterminism:
     def test_moead_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
         config = MOEADConfig(population_size=8, neighborhood_size=4)
-        serial = MOEAD(problem, config, seed=5).run(4)
+        serial = stepped(MOEAD(problem, config, seed=5), 4).result()
         with ProcessPoolEvaluator(n_workers=2) as evaluator:
-            pooled = MOEAD(problem, config, seed=5, evaluator=evaluator).run(4)
+            pooled = solve(problem, "moead", config=config, seed=5, termination=4,
+                           evaluator=evaluator)
         assert np.array_equal(
             serial.archive.objective_matrix(), pooled.archive.objective_matrix()
         )
 
     def test_pmo2_result_carries_ledger(self):
-        result = PMO2(
-            Schaffer(), PMO2Config(island_population_size=8, migration_interval=3), seed=1
-        ).run(4)
+        result = solve(
+            Schaffer(), "pmo2", config=PMO2Config(island_population_size=8, migration_interval=3),
+            seed=1, termination=4,
+        )
         assert result.ledger is not None
         assert result.ledger.total_evaluations == result.evaluations
         assert result.ledger.phases["optimize"].wall_clock > 0.0

@@ -2,7 +2,7 @@
 
 The acceptance contract of the solver-API redesign: all four engines run
 through one code path, return a :class:`SolveResult`, stay bitwise identical
-to the engines' own ``run()`` loops, stream events to observers, and share
+to the plain ``initialize(); step()`` loop, stream events to observers, and share
 uniform checkpoint/evaluator support (MOEA/D included).
 """
 
@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.archipelago import Archipelago, ArchipelagoConfig
 from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.nsga2 import NSGA2Config
 from repro.moo.testproblems import Schaffer, ZDT1
 from repro.runtime.evaluator import build_evaluator
 from repro.solve import (
@@ -30,6 +28,7 @@ from repro.solve import (
     solve,
     solver_names,
 )
+from tests.stepping import stepped
 
 ALGORITHMS = {
     "nsga2": dict(population_size=8),
@@ -107,49 +106,31 @@ class TestOneCodePath:
 
 
 class TestEngineParity:
-    """solve() is bitwise identical to the engines' own run() loops."""
+    """solve() is bitwise identical to the plain initialize(); step() loop."""
+
+    @staticmethod
+    def _assert_parity(algorithm):
+        overrides = ALGORITHMS[algorithm]
+        engine = get_solver(algorithm).build(Schaffer(), seed=3, **overrides)
+        reference = stepped(engine, 5).result()
+        unified = solve(Schaffer(), algorithm, seed=3, termination=MaxGenerations(5),
+                        **overrides)
+        assert np.array_equal(reference.front_objectives(), unified.front_objectives())
+        assert np.array_equal(reference.front_decisions(), unified.front_decisions())
+        assert unified.evaluations == reference.evaluations
+        assert unified.migrations == reference.migrations
 
     def test_nsga2_parity(self):
-        engine = NSGA2(Schaffer(), NSGA2Config(population_size=8), seed=3).run(5)
-        unified = solve(Schaffer(), "nsga2", seed=3, population_size=8,
-                        termination=MaxGenerations(5))
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
+        self._assert_parity("nsga2")
 
     def test_moead_parity(self):
-        config = MOEADConfig(population_size=8, neighborhood_size=4)
-        engine = MOEAD(Schaffer(), config, seed=3).run(5)
-        unified = solve(
-            Schaffer(), "moead", seed=3,
-            config=MOEADConfig(population_size=8, neighborhood_size=4),
-            termination=MaxGenerations(5),
-        )
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
+        self._assert_parity("moead")
 
     def test_pmo2_parity(self):
-        def config():
-            return PMO2Config(island_population_size=8, migration_interval=2)
-
-        engine = PMO2(Schaffer(), config(), seed=3).run(5)
-        unified = solve(Schaffer(), "pmo2", seed=3, config=config(),
-                        termination=MaxGenerations(5))
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
-        assert unified.migrations == engine.migrations
+        self._assert_parity("pmo2")
 
     def test_archipelago_parity(self):
-        def build():
-            return Archipelago.from_config(
-                Schaffer(),
-                ArchipelagoConfig(island_population_size=8, migration_interval=2),
-                seed=3,
-            )
-
-        engine = build().run(5)
-        unified = solve(
-            Schaffer(), "archipelago", seed=3,
-            config=ArchipelagoConfig(island_population_size=8, migration_interval=2),
-            termination=MaxGenerations(5),
-        )
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
+        self._assert_parity("archipelago")
 
     def test_max_evaluations_matches_manual_budget_loop(self):
         config = MOEADConfig(population_size=8, neighborhood_size=4)
@@ -377,3 +358,45 @@ class TestObserverHardening:
         watched = solve(Schaffer(), "nsga2", seed=5, population_size=8,
                         termination=4, observers=[boom])
         assert np.array_equal(clean.front_objectives(), watched.front_objectives())
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with DeprecationWarning as an error.
+
+    A fresh process keeps module caching in this one from masking a
+    warning raised at import time.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(repro.__file__).resolve().parents[1])
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_importing_first_party_modules_is_warning_free():
+    """First-party modules raise no DeprecationWarning when imported."""
+    completed = _fresh_interpreter(
+        "import repro.moo, repro.solve, repro.core.designer, "
+        "repro.core.experiments, repro.cli.main"
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_star_import_of_repro_moo_is_warning_free():
+    """`from repro.moo import *` raises no DeprecationWarning."""
+    completed = _fresh_interpreter("from repro.moo import *; from repro.moo.nsga2 import *")
+    assert completed.returncode == 0, completed.stderr

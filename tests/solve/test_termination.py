@@ -25,6 +25,7 @@ from repro.solve import (
     as_termination,
     solve,
 )
+from tests.stepping import stepped
 
 
 def _progress(generation=0, evaluations=0, elapsed=0.0, front=None):
@@ -174,7 +175,7 @@ class TestHypervolumeStagnation:
 
     def test_fronts_at_stop_are_deterministic(self):
         """Same seed, same criterion: the early-stopped front is bitwise stable,
-        and identical to the plain engine run of the same length."""
+        and identical to the plain stepping loop of the same length."""
         def run_once():
             stagnation = HypervolumeStagnation(patience=10, tolerance=1e-3)
             return solve(
@@ -185,10 +186,11 @@ class TestHypervolumeStagnation:
         first, second = run_once(), run_once()
         assert first.generations == second.generations
         assert np.array_equal(first.front_objectives(), second.front_objectives())
-        # The stopped run equals the fixed-budget engine run of that length.
-        engine_result = NSGA2(
-            ZDT1(n_var=6), NSGA2Config(population_size=16), seed=0
-        ).run(first.generations)
+        # The stopped run equals the plain stepping loop of that length.
+        engine_result = stepped(
+            NSGA2(ZDT1(n_var=6), NSGA2Config(population_size=16), seed=0),
+            first.generations,
+        ).result()
         assert np.array_equal(
             first.front_objectives(), engine_result.front_objectives()
         )
