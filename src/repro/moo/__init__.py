@@ -48,7 +48,6 @@ from repro.moo.kernels import (
     domination_matrix,
     non_dominated_mask,
     nondominated_sort,
-    tournament_winner,
     tournament_winners,
 )
 from repro.moo.individual import Individual, Population
@@ -116,7 +115,6 @@ __all__ = [
     "domination_matrix",
     "non_dominated_mask",
     "nondominated_sort",
-    "tournament_winner",
     "tournament_winners",
     "Individual",
     "Population",

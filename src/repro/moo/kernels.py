@@ -49,7 +49,6 @@ __all__ = [
     "nondominated_sort",
     "crowding_distances",
     "crowding_truncation_order",
-    "tournament_winner",
     "tournament_winners",
     "archive_prune",
 ]
@@ -233,24 +232,6 @@ def crowding_truncation_order(crowding: np.ndarray) -> np.ndarray:
     return np.argsort(-crowding, kind="stable")
 
 
-def tournament_winner(
-    rank_a: float, crowding_a: float, rank_b: float, crowding_b: float
-) -> int | None:
-    """Scalar binary-tournament decision on (rank, crowding).
-
-    Returns ``0`` when the first contestant wins, ``1`` when the second
-    does, and ``None`` on a full tie (the caller breaks it with its own
-    random draw).  This is the one-pair fast path of
-    :func:`tournament_winners` — plain comparisons, no array construction —
-    for sequential selection loops whose random stream must not change.
-    """
-    if rank_a != rank_b:
-        return 0 if rank_a < rank_b else 1
-    if crowding_a != crowding_b:
-        return 0 if crowding_a > crowding_b else 1
-    return None
-
-
 def tournament_winners(
     ranks: np.ndarray, crowding: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +240,8 @@ def tournament_winners(
     ``pairs`` is a ``(k, 2)`` array of population indices.  Returns
     ``(winners, ties)``: the winning index per pair (lower rank wins, then
     larger crowding) and a boolean mask of full ties, which the caller
-    resolves with its own random draw — keeping the random stream of the
-    sequential tournament intact.
+    resolves with its own random draw (one coin per pair in
+    :func:`repro.moo.operators.binary_tournament`).
     """
     ranks = np.asarray(ranks, dtype=float)
     crowding = np.asarray(crowding, dtype=float)

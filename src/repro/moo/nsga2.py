@@ -6,6 +6,12 @@ implementation follows Deb et al. 2002: binary tournament selection on
 selection by non-dominated sorting with crowding-distance truncation, extended
 with Deb's constraint-domination rules so that constrained problems such as
 the Geobacter flux design are handled natively.
+
+Variation is batched: one generation of offspring is one tournament call,
+one SBX call over the ``(population_size / 2, n_var)`` parent matrices and
+one mutation call over the children (see :mod:`repro.moo.operators`).  The
+operators are called through this module's globals, so wrappers installed
+on ``repro.moo.nsga2`` (profilers, say) see every call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ from repro.moo.operators import (
     sbx_crossover,
     uniform_initialization,
 )
-from repro.moo.validation import check_at_least, check_choice, check_even, check_probability
+from repro.moo.validation import (
+    check_at_least,
+    check_choice,
+    check_even,
+    check_positive,
+    check_probability,
+)
 from repro.problems.base import Problem
 
 __all__ = ["NSGA2Config", "NSGA2"]
@@ -44,10 +56,10 @@ class NSGA2Config:
     population_size:
         Number of individuals (must be even so that crossover pairs align).
     crossover_probability, crossover_eta:
-        SBX probability and distribution index.
+        SBX per-pair probability and (positive) distribution index.
     mutation_probability, mutation_eta:
         Polynomial-mutation per-variable probability (``None`` = ``1/n_var``)
-        and distribution index.
+        and (positive) distribution index.
     initialization:
         ``"latin"`` (default) or ``"uniform"``.
     archive_capacity:
@@ -67,7 +79,9 @@ class NSGA2Config:
         check_at_least("population_size", self.population_size, 4)
         check_even("population_size", self.population_size)
         check_probability("crossover_probability", self.crossover_probability)
+        check_positive("crossover_eta", self.crossover_eta)
         check_probability("mutation_probability", self.mutation_probability, allow_none=True)
+        check_positive("mutation_eta", self.mutation_eta)
         check_choice("initialization", self.initialization, ("latin", "uniform"))
 
 
@@ -141,42 +155,37 @@ class NSGA2:
         self.generation = 0
 
     def _make_offspring(self) -> Population:
-        """Create one generation of offspring by selection + SBX + mutation."""
+        """Create one generation of offspring: tournament, SBX, mutation.
+
+        Each operator runs once over the whole generation:
+        ``population_size`` tournaments pick the mating pool, its rows
+        ``0::2`` and ``1::2`` pair up for SBX, and the interleaved children
+        ``a0, b0, a1, b1, ...`` are mutated as one matrix.
+        """
         assert self.population is not None
-        offspring = Population()
+        size = self.config.population_size
         lower, upper = self.problem.lower_bounds, self.problem.upper_bounds
-        while len(offspring) < self.config.population_size:
-            parent_a = binary_tournament(self.population, self.rng)
-            parent_b = binary_tournament(self.population, self.rng)
-            child_a, child_b = sbx_crossover(
-                parent_a.x,
-                parent_b.x,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.crossover_eta,
-                probability=self.config.crossover_probability,
-            )
-            child_a = polynomial_mutation(
-                child_a,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.mutation_eta,
-                probability=self.config.mutation_probability,
-            )
-            child_b = polynomial_mutation(
-                child_b,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.mutation_eta,
-                probability=self.config.mutation_probability,
-            )
-            offspring.append(Individual(child_a))
-            if len(offspring) < self.config.population_size:
-                offspring.append(Individual(child_b))
-        return offspring
+        pool = self.population.X[binary_tournament(self.population, self.rng, size)]
+        children_a, children_b = sbx_crossover(
+            pool[0::2],
+            pool[1::2],
+            lower,
+            upper,
+            self.rng,
+            eta=self.config.crossover_eta,
+            probability=self.config.crossover_probability,
+        )
+        children = np.empty_like(pool)
+        children[0::2], children[1::2] = children_a, children_b
+        children = polynomial_mutation(
+            children,
+            lower,
+            upper,
+            self.rng,
+            eta=self.config.mutation_eta,
+            probability=self.config.mutation_probability,
+        )
+        return Population.from_vectors(children)
 
     def _environmental_selection(self, union: Population) -> Population:
         """Elitist truncation of the parent+offspring union.

@@ -21,6 +21,7 @@ __all__ = [
     "check",
     "check_at_least",
     "check_even",
+    "check_positive",
     "check_probability",
     "check_choice",
 ]
@@ -49,6 +50,12 @@ def check_even(name: str, value: int) -> None:
     """Require an even integer (crossover pairs must align)."""
     if value % 2 != 0:
         raise ConfigurationError("%s must be even, got %s" % (name, value))
+
+
+def check_positive(name: str, value: float) -> None:
+    """Require ``value > 0`` (a distribution index, say)."""
+    if not value > 0:
+        raise ConfigurationError("%s must be positive, got %s" % (name, value))
 
 
 def check_probability(name: str, value: float | None, allow_none: bool = False) -> None:

@@ -16,6 +16,11 @@ Typical use, through the one run loop in :func:`repro.solve.solve`::
           checkpoint=checkpoint)
     # resumes from generation 300 and finishes the remaining 200 generations
 
+Every checkpoint carries a ``format_version``; one written under another
+version (before the batched variation operators, say) is refused with
+:class:`~repro.exceptions.CheckpointError`, because its random stream
+belongs to other operators.
+
 A checkpoint only restores into an optimizer of the type that wrote it
 (anything else raises :class:`~repro.exceptions.CheckpointError`), but the
 state is NOT validated against the resuming run's configuration or seed:
@@ -39,6 +44,11 @@ from repro.exceptions import CheckpointError, ConfigurationError
 __all__ = ["CheckpointManager"]
 
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
+
+#: Version of the checkpoint payload.  Version 2 marks the batched variation
+#: operators, whose random stream differs from version 1's: resuming a
+#: version-1 state under them would finish a run that matches neither.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointManager:
@@ -74,7 +84,11 @@ class CheckpointManager:
         """Write one checkpoint atomically and prune old ones."""
         if generation < 0:
             raise ConfigurationError("generation must be non-negative")
-        payload = {"format_version": 1, "generation": int(generation), "state": state}
+        payload = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "generation": int(generation),
+            "state": state,
+        }
         target = self._path(generation)
         descriptor, temp_name = tempfile.mkstemp(
             prefix=".checkpoint-", suffix=".tmp", dir=self.directory
@@ -124,7 +138,12 @@ class CheckpointManager:
         return found[-1] if found else None
 
     def load(self, path: str | os.PathLike | None = None) -> tuple[Any, int]:
-        """Load one checkpoint and return ``(state, generation)``."""
+        """Load one checkpoint and return ``(state, generation)``.
+
+        Raises :class:`~repro.exceptions.CheckpointError` when the file is
+        unreadable, has an unknown layout, or was written with another
+        ``format_version`` than :data:`CHECKPOINT_FORMAT_VERSION`.
+        """
         chosen = Path(path) if path is not None else self.latest()
         if chosen is None:
             raise CheckpointError("no checkpoint found in %s" % self.directory)
@@ -135,6 +154,13 @@ class CheckpointManager:
             raise CheckpointError("cannot read checkpoint %s: %s" % (chosen, error)) from error
         if not isinstance(payload, dict) or "state" not in payload:
             raise CheckpointError("checkpoint %s has an unknown layout" % chosen)
+        version = payload.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                "checkpoint %s has format version %r, but this version reads only "
+                "version %d (its optimizers draw a different random stream); "
+                "start the run afresh" % (chosen, version, CHECKPOINT_FORMAT_VERSION)
+            )
         return payload["state"], int(payload.get("generation", 0))
 
     def load_latest(self) -> tuple[Any, int] | None:

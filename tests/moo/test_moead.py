@@ -55,6 +55,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             MOEADConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("kwargs", [{"crossover_eta": 0.0}, {"mutation_eta": 0.0},
+                                        {"mutation_eta": -1.0}])
+    def test_non_positive_distribution_index_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="eta must be positive"):
+            MOEADConfig(**kwargs).validate()
+
 
 class TestMOEADRun:
     def test_population_size_and_generations(self):

@@ -34,6 +34,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             NSGA2Config(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"crossover_eta": 0.0}, {"crossover_eta": -2.0}, {"mutation_eta": -1.0},
+                   {"mutation_eta": 0.0}],
+    )
+    def test_non_positive_distribution_index_rejected_before_any_evaluation(self, kwargs):
+        problem = ZDT1(n_var=4)
+        evaluated = []
+        problem.evaluate_matrix = lambda X: evaluated.append(X)
+        with pytest.raises(ConfigurationError, match="eta must be positive"):
+            NSGA2Config(**kwargs).validate()
+        with pytest.raises(ConfigurationError, match="eta must be positive"):
+            _run(problem, NSGA2Config(population_size=8, **kwargs), 0, 2)
+        assert evaluated == []
+
 
 class TestNSGA2Run:
     def test_population_size_is_preserved(self):

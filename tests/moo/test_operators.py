@@ -107,8 +107,9 @@ class TestTournament:
         population = Population.random(problem, 16, rng)
         population.evaluate(problem)
         assign_ranks_and_crowding(population)
-        winners = [binary_tournament(population, rng) for _ in range(100)]
-        mean_winner_rank = np.mean([w.rank for w in winners])
+        winners = binary_tournament(population, rng, 100)
+        assert winners.shape == (100,)
+        mean_winner_rank = np.mean([population[int(w)].rank for w in winners])
         mean_population_rank = np.mean([i.rank for i in population])
         assert mean_winner_rank <= mean_population_rank
 
@@ -118,11 +119,11 @@ class TestTournament:
         population = Population.random(problem, 4, rng)
         population.evaluate(problem)
         with pytest.raises(ConfigurationError):
-            binary_tournament(population, rng)
+            binary_tournament(population, rng, 2)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigurationError):
-            binary_tournament(Population(), np.random.default_rng(0))
+            binary_tournament(Population(), np.random.default_rng(0), 2)
 
 
 class TestDifferentialVariation:

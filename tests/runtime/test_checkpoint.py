@@ -4,6 +4,8 @@ Resumed ``solve()`` runs are checked against an uninterrupted reference
 built by the plain ``initialize(); step() x N`` loop on a hand-built engine.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,23 @@ class TestManager:
               checkpoint_dir=str(tmp_path), checkpoint_interval=2)
         with pytest.raises(CheckpointError, match="NSGA2.*MOEAD"):
             solve(problem, "moead", population_size=8, seed=0, termination=6,
+                  checkpoint_dir=str(tmp_path))
+
+    def test_checkpoint_of_the_previous_format_version_is_refused(self, tmp_path):
+        # Version-1 checkpoints hold states of the per-pair variation
+        # operators; resuming one under the batched operators would finish a
+        # run that matches neither random stream.
+        problem = ZDT1(n_var=6)
+        solve(problem, "nsga2", population_size=8, seed=0, termination=4,
+              checkpoint_dir=str(tmp_path), checkpoint_interval=2)
+        manager = CheckpointManager(tmp_path)
+        state, generation = manager.load()
+        payload = {"format_version": 1, "generation": generation, "state": state}
+        manager.latest().write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="format version 1.*version 2"):
+            manager.load()
+        with pytest.raises(CheckpointError, match="format version 1"):
+            solve(problem, "nsga2", population_size=8, seed=0, termination=6,
                   checkpoint_dir=str(tmp_path))
 
     def test_rejects_bad_configuration(self, tmp_path):
