@@ -2,7 +2,7 @@
 
 Times the batched violation screens, the shared-assembly FVA and the
 knockout scans of :mod:`repro.fba` against the per-call reference
-implementations preserved in :mod:`repro.fba._reference` (asserting
+implementations preserved in ``tests/fba/fba_oracles.py`` (asserting
 element-for-element agreement on the way), on the paper's 608-reaction
 Geobacter model.  Writes a machine-readable ``BENCH_fba.json`` so the perf
 trajectory accumulates data points across commits.
@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.fba import (  # noqa: E402
     bound_violations,
@@ -40,7 +42,7 @@ from repro.fba import (  # noqa: E402
     single_deletions,
     steady_state_violations,
 )
-from repro.fba._reference import (  # noqa: E402
+from tests.fba.fba_oracles import (  # noqa: E402
     reference_bound_violation,
     reference_constraint_violation,
     reference_flux_variability_analysis,

@@ -2,7 +2,7 @@
 
 Sweeps population sizes and objective counts, times each kernel of
 :mod:`repro.moo.kernels` against its pure-Python reference from
-:mod:`repro.moo._reference` (asserting element-for-element agreement on the
+``tests/moo/kernel_oracles.py`` (asserting element-for-element agreement on the
 way), times the batched SBX and polynomial mutation of
 :mod:`repro.moo.operators` against the per-pair loops kept as oracles in
 ``tests/moo/operator_oracles.py`` (fed the same draws, children must agree
@@ -42,7 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from repro.moo import kernels, operators  # noqa: E402
-from repro.moo._reference import (  # noqa: E402
+from tests.moo.kernel_oracles import (  # noqa: E402
     reference_archive_prune,
     reference_crowding_distance,
     reference_fast_non_dominated_sort,

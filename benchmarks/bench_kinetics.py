@@ -3,7 +3,7 @@
 Times the columnwise population right-hand side
 (:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
 flux matrix of the Calvin-cycle network against the per-member scalar loops
-preserved in :mod:`repro.kinetics._reference` (asserting element-for-element
+preserved in ``tests/kinetics/ode_oracles.py`` (asserting element-for-element
 agreement on the way).  Writes a machine-readable ``BENCH_kinetics.json``
 so the perf trajectory accumulates data points across commits.
 
@@ -29,9 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
-from repro.kinetics._reference import (  # noqa: E402
+from tests.kinetics.ode_oracles import (  # noqa: E402
     reference_fluxes,
     reference_rhs_population,
 )

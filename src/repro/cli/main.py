@@ -35,15 +35,9 @@ from repro.core.artifacts import (
     record_solve_run,
     write_front_csv,
 )
-from repro.core.registry import (
-    Experiment,
-    UnknownExperimentError,
-    experiment_names,
-    get_experiment,
-)
+from repro.core.registry import Experiment, experiment_names, get_experiment
 from repro.core.report import format_table
 from repro.exceptions import ConfigurationError
-from repro.solve.registry import UnknownSolverError
 
 __all__ = ["main", "build_parser"]
 
@@ -1146,11 +1140,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_stats(args)
         if args.command == "cache":
             return _cmd_cache(args)
-    except (UnknownExperimentError, UnknownSolverError) as error:
-        # Deliberately narrow: a KeyError raised inside experiment code must
-        # surface as a traceback, not masquerade as a mistyped name.
-        print("error: %s" % error.args[0], file=sys.stderr)
-        return 2
     except (ConfigurationError, FileNotFoundError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2

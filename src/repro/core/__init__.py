@@ -27,7 +27,6 @@ from repro.core.designer import DesignReport, RobustPathwayDesigner, SelectedDes
 from repro.core.registry import (
     REGISTRY,
     Experiment,
-    ExperimentRegistry,
     Parameter,
     experiment_names,
     get_experiment,
@@ -61,7 +60,6 @@ __all__ = [
     "SelectedDesign",
     "REGISTRY",
     "Experiment",
-    "ExperimentRegistry",
     "Parameter",
     "experiment_names",
     "get_experiment",

@@ -24,30 +24,17 @@ List and run an experiment through the registry::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from repro.exceptions import ConfigurationError
-from repro.naming import did_you_mean
-from repro.params import Parameter
+from repro.registry import Parameter, Registry, resolve
 
 __all__ = [
     "Parameter",
     "Experiment",
-    "ExperimentRegistry",
-    "UnknownExperimentError",
     "REGISTRY",
     "get_experiment",
     "experiment_names",
 ]
-
-
-class UnknownExperimentError(KeyError):
-    """Raised on a registry lookup of a name that was never registered.
-
-    A :class:`KeyError` subclass, so ``registry.get`` keeps dictionary
-    semantics, while callers (the CLI) can distinguish a mistyped experiment
-    name from a ``KeyError`` raised inside experiment code.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,41 +76,13 @@ class Experiment:
         default=("manifest.json", "front.json", "front.csv", "result.json")
     )
 
-    # ------------------------------------------------------------------
-    def parameter(self, name: str) -> Parameter:
-        """Look up one schema parameter by name.
-
-        Raises
-        ------
-        KeyError
-            If the experiment has no parameter of that name.
-        """
-        for parameter in self.parameters:
-            if parameter.name == name:
-                return parameter
-        raise KeyError("experiment %r has no parameter %r" % (self.name, name))
-
-    def defaults(self) -> dict[str, Any]:
-        """Schema defaults as a plain ``{name: value}`` dictionary."""
-        return {parameter.name: parameter.default for parameter in self.parameters}
-
     def validate_parameters(self, overrides: dict[str, Any]) -> dict[str, Any]:
         """Merge ``overrides`` into the schema defaults, rejecting unknown names.
 
         Returns the full keyword-argument dictionary to call :attr:`function`
         with; values are coerced to their declared types.
         """
-        known = {parameter.name: parameter for parameter in self.parameters}
-        unknown = sorted(set(overrides) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                "unknown parameter(s) %s for experiment %r (known: %s)"
-                % (", ".join(unknown), self.name, ", ".join(sorted(known)))
-            )
-        merged = self.defaults()
-        for name, value in overrides.items():
-            merged[name] = known[name].coerce(value)
-        return merged
+        return resolve(self.parameters, overrides, "experiment %r" % self.name)
 
     def run(self, **overrides: Any) -> Any:
         """Run the experiment with schema-validated parameters.
@@ -139,69 +98,9 @@ class Experiment:
         return self.function(**self.validate_parameters(overrides))
 
 
-class ExperimentRegistry:
-    """Name-indexed collection of :class:`Experiment` entries.
-
-    The module-level :data:`REGISTRY` instance is populated as a side effect
-    of importing :mod:`repro.core.experiments`; use :func:`get_experiment` /
-    :func:`experiment_names` to get that import for free.
-
-    Example
-    -------
-    >>> registry = ExperimentRegistry()
-    >>> _ = registry.register(Experiment(
-    ...     name="demo", title="demo", description="", reference="",
-    ...     function=lambda: None))
-    >>> "demo" in registry
-    True
-    """
-
-    def __init__(self) -> None:
-        self._experiments: dict[str, Experiment] = {}
-
-    def register(self, experiment: Experiment) -> Experiment:
-        """Add one experiment; duplicate names are configuration errors."""
-        if experiment.name in self._experiments:
-            raise ConfigurationError(
-                "experiment %r is already registered" % experiment.name
-            )
-        self._experiments[experiment.name] = experiment
-        return experiment
-
-    def get(self, name: str) -> Experiment:
-        """Look up an experiment, with name suggestions on a miss."""
-        try:
-            return self._experiments[name]
-        except KeyError:
-            raise UnknownExperimentError(
-                "unknown experiment %r%s (run `python -m repro list` for all names)"
-                % (name, did_you_mean(name, self._experiments))
-            ) from None
-
-    def names(self) -> list[str]:
-        """Sorted names of every registered experiment."""
-        return sorted(self._experiments)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._experiments
-
-    def __iter__(self) -> Iterator[Experiment]:
-        return iter(self._experiments[name] for name in self.names())
-
-    def __len__(self) -> int:
-        return len(self._experiments)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "ExperimentRegistry(%s)" % ", ".join(self.names())
-
-
-#: The process-wide registry the canned experiments register into.
-REGISTRY = ExperimentRegistry()
-
-
-def _ensure_populated() -> None:
-    """Import the canned experiments so their registrations run."""
-    import repro.core.experiments  # noqa: F401  (import-for-side-effect)
+#: The process-wide registry the canned experiments register into; the
+#: first lookup imports :mod:`repro.core.experiments` to populate it.
+REGISTRY: Registry[Experiment] = Registry("experiment", populate="repro.core.experiments")
 
 
 def get_experiment(name: str) -> Experiment:
@@ -212,7 +111,6 @@ def get_experiment(name: str) -> Experiment:
     >>> get_experiment("photosynthesis-table2").supports_checkpoint
     True
     """
-    _ensure_populated()
     return REGISTRY.get(name)
 
 
@@ -224,5 +122,4 @@ def experiment_names() -> list[str]:
     >>> "geobacter-figure4" in experiment_names()
     True
     """
-    _ensure_populated()
     return REGISTRY.names()

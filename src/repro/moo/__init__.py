@@ -16,7 +16,7 @@ The sub-package provides:
 * :mod:`repro.moo.kernels` — the vectorized, constraint-aware dominance /
   sorting / crowding / archive-prune kernels on ``(n, m)`` objective
   matrices that every routine above runs on (with the naive reference
-  implementations preserved in :mod:`repro.moo._reference` for the
+  implementations preserved in ``tests/moo/kernel_oracles.py`` for the
   equivalence tests and benchmarks);
 * :mod:`repro.moo.testproblems` — synthetic validation problems.
 

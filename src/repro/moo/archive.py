@@ -66,7 +66,7 @@ class ParetoArchive:
     # ------------------------------------------------------------------
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached ``(F, CV, X)`` arrays of the current members."""
-        cached = getattr(self, "_columns_cache", None)
+        cached = self._columns_cache
         if cached is None:
             cached = (
                 objective_matrix_of(self._members),

@@ -243,8 +243,8 @@ class Population:
         return {"individuals": self._individuals}
 
     def __setstate__(self, state: dict) -> None:
-        """Restore from a pickle (old checkpoints used the raw attribute)."""
-        self._individuals = state.get("individuals", state.get("_individuals", []))
+        """Restore from a pickle; the columnar views start empty."""
+        self._individuals = state["individuals"]
         self._views = {}
 
     # ------------------------------------------------------------------
@@ -256,19 +256,12 @@ class Population:
         Called automatically by every mutating method of the container;
         call it manually after mutating an :class:`Individual` in place.
         """
-        views = getattr(self, "_views", None)
-        if views is None:
-            self._views = {}
-        else:
-            views.clear()
+        self._views.clear()
 
     def _view(self, key: str) -> np.ndarray:
-        views = getattr(self, "_views", None)
-        if views is None:
-            views = self._views = {}
-        cached = views.get(key)
+        cached = self._views.get(key)
         if cached is None:
-            cached = views[key] = self._build_view(key)
+            cached = self._views[key] = self._build_view(key)
             cached.setflags(write=False)
         return cached
 

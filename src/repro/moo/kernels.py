@@ -17,7 +17,7 @@ feasible solutions) and is always defined for *minimization*.
 The kernels are drop-in equivalent to the naive loops they replaced —
 bitwise-identical outputs, including tie-breaking order — which
 ``tests/moo/test_kernels.py`` asserts against the preserved reference
-implementations in :mod:`repro.moo._reference`, and
+implementations in ``tests/moo/kernel_oracles.py``, and
 ``benchmarks/bench_kernels.py`` measures (the non-dominated sort is two to
 three orders of magnitude faster at ``n = 1000``; see ``BENCH_kernels.json``
 and ``docs/performance.md``).

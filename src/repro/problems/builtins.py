@@ -10,9 +10,9 @@ so ``import repro.problems`` stays cheap and cycle-free.
 
 from __future__ import annotations
 
-from repro.params import Parameter
 from repro.problems.base import Problem
 from repro.problems.registry import ProblemSpec, register_problem
+from repro.registry import Parameter
 
 
 def _schaffer(bound: float) -> Problem:

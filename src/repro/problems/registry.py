@@ -3,10 +3,11 @@
 The registry is the problem-side counterpart of the solver registry
 (:mod:`repro.solve.registry`) and the experiment registry
 (:mod:`repro.core.registry`): each problem registers a :class:`ProblemSpec`
-with its name, a parameter schema (reusing
-:class:`repro.core.registry.Parameter`) and a factory.  Every consumer — the
-``repro solve`` CLI, benchmarks, tests — builds problems by name instead of
-hand-wiring constructors.
+with its name, a parameter schema of :class:`repro.registry.Parameter`
+entries and a factory.  Every consumer — the ``repro solve`` CLI, the job
+service, benchmarks, tests — builds problems by name instead of hand-wiring
+constructors.  Problem parameters and transform keys are validated by the
+shared :func:`repro.registry.resolve`.
 
 Spec strings
 ------------
@@ -40,9 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.params import Parameter
 from repro.exceptions import ConfigurationError
-from repro.naming import did_you_mean
 from repro.problems.base import Problem
 from repro.problems.transforms import (
     BudgetCounting,
@@ -53,6 +52,7 @@ from repro.problems.transforms import (
     ObjectiveSubset,
     Throttled,
 )
+from repro.registry import Parameter, Registry, resolve
 
 __all__ = [
     "ProblemSpec",
@@ -83,33 +83,6 @@ TRANSFORM_PARAMETERS: tuple[Parameter, ...] = (
     ),
     Parameter("delay", float, None, "seconds of sleep per evaluated design (Throttled)"),
 )
-
-_TRANSFORM_KEYS = {parameter.name: parameter for parameter in TRANSFORM_PARAMETERS}
-
-_TRUE_STRINGS = {"1", "true", "yes", "on"}
-_FALSE_STRINGS = {"0", "false", "no", "off"}
-
-
-def _coerce(parameter: Parameter, value: Any) -> Any:
-    """Coerce one raw value (possibly a spec-string fragment) to its type."""
-    if value is None:
-        return None
-    if parameter.type is bool and isinstance(value, str):
-        lowered = value.lower()
-        if lowered in _TRUE_STRINGS:
-            return True
-        if lowered in _FALSE_STRINGS:
-            return False
-        raise ConfigurationError(
-            "cannot parse %r as a boolean for %r" % (value, parameter.name)
-        )
-    try:
-        return parameter.coerce(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            "cannot parse %r as %s for parameter %r"
-            % (value, parameter.type.__name__, parameter.name)
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -149,16 +122,7 @@ class ProblemSpec:
         >>> get_problem("zdt1").build(n_var=5).n_var
         5
         """
-        known = {parameter.name: parameter for parameter in self.parameters}
-        unknown = sorted(set(overrides) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                "unknown parameter(s) %s for problem %r (known: %s)"
-                % (", ".join(unknown), self.name, ", ".join(sorted(known)) or "none")
-            )
-        merged = self.defaults()
-        for key, value in overrides.items():
-            merged[key] = _coerce(known[key], value)
+        merged = resolve(self.parameters, overrides, "problem %r" % self.name)
         problem = self.factory(**merged)
         if getattr(problem, "spec", None) is None:
             # Canonical spec string — registry name plus *every* resolved
@@ -180,20 +144,13 @@ def _canonical_spec(name: str, params: dict[str, Any]) -> str:
     return "%s?%s" % (name, rendered)
 
 
-_PROBLEMS: dict[str, ProblemSpec] = {}
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in problem registrations exactly once."""
-    import repro.problems.builtins  # noqa: F401  (import-for-side-effect)
+#: Every registered problem, by name; the first lookup imports the built-ins.
+PROBLEMS: Registry[ProblemSpec] = Registry("problem", populate="repro.problems.builtins")
 
 
 def register_problem(spec: ProblemSpec) -> ProblemSpec:
     """Add one problem spec to the registry; duplicate names are errors."""
-    if spec.name in _PROBLEMS:
-        raise ConfigurationError("problem %r is already registered" % spec.name)
-    _PROBLEMS[spec.name] = spec
-    return spec
+    return PROBLEMS.register(spec)
 
 
 def get_problem(name: str) -> ProblemSpec:
@@ -204,14 +161,7 @@ def get_problem(name: str) -> ProblemSpec:
     >>> get_problem("geobacter").title
     'Geobacter flux design (electron vs biomass production)'
     """
-    _ensure_builtins()
-    try:
-        return _PROBLEMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            "unknown problem %r%s (available: %s)"
-            % (name, did_you_mean(name, _PROBLEMS), ", ".join(sorted(_PROBLEMS)))
-        ) from None
+    return PROBLEMS.get(name)
 
 
 def problem_names() -> list[str]:
@@ -222,8 +172,7 @@ def problem_names() -> list[str]:
     >>> "zdt1" in problem_names()
     True
     """
-    _ensure_builtins()
-    return sorted(_PROBLEMS)
+    return PROBLEMS.names()
 
 
 def parse_problem_spec(spec: str) -> tuple[str, dict[str, str]]:
@@ -305,24 +254,19 @@ def build_problem(spec: str, **overrides: Any) -> Problem:
     problem_spec = get_problem(name)
     merged: dict[str, Any] = dict(raw)
     merged.update(overrides)
-    transform_params: dict[str, Any] = {}
-    problem_params: dict[str, Any] = {}
+    # Schema names shadow transform keys, so a problem with its own `budget`
+    # parameter keeps it addressable.
     schema = {parameter.name for parameter in problem_spec.parameters}
-    for key, value in merged.items():
-        # Schema names shadow transform keys, so a problem with its own
-        # `budget` parameter keeps it addressable.
-        if key in schema:
-            problem_params[key] = value
-        elif key in _TRANSFORM_KEYS:
-            transform_params[key] = _coerce(_TRANSFORM_KEYS[key], value)
-        else:
-            choices = sorted(schema | set(_TRANSFORM_KEYS))
-            raise ConfigurationError(
-                "unknown parameter %r for problem %r%s (known: %s)"
-                % (key, name, did_you_mean(key, choices), ", ".join(choices))
-            )
-    problem = problem_spec.build(**problem_params)
-    return apply_transforms(problem, transform_params)
+    resolved = resolve(
+        problem_spec.parameters
+        + tuple(p for p in TRANSFORM_PARAMETERS if p.name not in schema),
+        merged,
+        "problem %r" % name,
+    )
+    problem = problem_spec.build(**{key: resolved[key] for key in schema})
+    return apply_transforms(
+        problem, {key: resolved[key] for key in merged if key not in schema}
+    )
 
 
 def describe_problem(spec: str) -> dict[str, Any]:
@@ -355,22 +299,6 @@ def describe_problem(spec: str) -> dict[str, Any]:
             )
         ],
         "space": problem.space.as_dict(),
-        "parameters": [
-            {
-                "name": parameter.name,
-                "type": parameter.type.__name__,
-                "default": parameter.default,
-                "help": parameter.help,
-            }
-            for parameter in problem_spec.parameters
-        ],
-        "transforms": [
-            {
-                "name": parameter.name,
-                "type": parameter.type.__name__,
-                "default": parameter.default,
-                "help": parameter.help,
-            }
-            for parameter in TRANSFORM_PARAMETERS
-        ],
+        "parameters": [parameter.as_dict() for parameter in problem_spec.parameters],
+        "transforms": [parameter.as_dict() for parameter in TRANSFORM_PARAMETERS],
     }

@@ -141,8 +141,9 @@ class CheckpointManager:
         """Load one checkpoint and return ``(state, generation)``.
 
         Raises :class:`~repro.exceptions.CheckpointError` when the file is
-        unreadable, has an unknown layout, or was written with another
-        ``format_version`` than :data:`CHECKPOINT_FORMAT_VERSION`.
+        unreadable, cannot be unpickled (including a state that names a class
+        this version no longer has), has an unknown layout, or was written
+        with another ``format_version`` than :data:`CHECKPOINT_FORMAT_VERSION`.
         """
         chosen = Path(path) if path is not None else self.latest()
         if chosen is None:
@@ -150,7 +151,7 @@ class CheckpointManager:
         try:
             with open(chosen, "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as error:
+        except Exception as error:
             raise CheckpointError("cannot read checkpoint %s: %s" % (chosen, error)) from error
         if not isinstance(payload, dict) or "state" not in payload:
             raise CheckpointError("checkpoint %s has an unknown layout" % chosen)

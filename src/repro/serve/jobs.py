@@ -204,15 +204,10 @@ class JobSpec:
         shows — surfaced as an HTTP 400 instead of a failed job later.
         """
         from repro.problems import build_problem
-        from repro.solve import UnknownSolverError, get_solver
+        from repro.solve import get_solver
 
         build_problem(self.problem)
-        try:
-            get_solver(self.algorithm)
-        except UnknownSolverError as error:
-            # KeyError subclass -> ConfigurationError, so the HTTP layer
-            # maps a mistyped algorithm onto 400, not 500.
-            raise ConfigurationError(str(error.args[0] if error.args else error))
+        get_solver(self.algorithm)
 
     def termination(self):
         """The composed Termination object this spec's budget describes."""

@@ -40,10 +40,9 @@ from repro.solve.events import (
     Observer,
     RunProgress,
 )
-from repro.solve.problems import build_problem, problem_names
+from repro.problems import build_problem, problem_names
 from repro.solve.registry import (
     SolverSpec,
-    UnknownSolverError,
     get_solver,
     register_solver,
     solver_names,
@@ -73,7 +72,6 @@ __all__ = [
     "build_problem",
     "problem_names",
     "SolverSpec",
-    "UnknownSolverError",
     "get_solver",
     "register_solver",
     "solver_names",

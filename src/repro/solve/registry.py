@@ -5,6 +5,8 @@ The registry is the solver-side counterpart of the experiment registry
 with its name, configuration class and a factory, and every consumer — the
 generic :func:`repro.solve.solve` driver, the ``repro solve`` CLI command,
 benchmarks — resolves engines by name instead of hand-wiring constructors.
+All three registries are :class:`repro.registry.Registry` instances, so an
+unknown name raises the same :class:`repro.registry.UnknownNameError`.
 
 Example
 -------
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import ConfigurationError
-from repro.naming import did_you_mean
 from repro.moo.archipelago import Archipelago, ArchipelagoConfig
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.problems.base import Problem
@@ -33,20 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SolverSpec",
-    "UnknownSolverError",
     "register_solver",
     "get_solver",
     "solver_names",
 ]
-
-
-class UnknownSolverError(KeyError):
-    """Raised on a lookup of a solver name that was never registered.
-
-    A :class:`KeyError` subclass so callers keep dictionary semantics while
-    the CLI can distinguish a mistyped algorithm name from a ``KeyError``
-    raised inside solver code.
-    """
 
 
 @dataclass(frozen=True)
@@ -117,15 +109,13 @@ class SolverSpec:
         return self.factory(problem, config, seed, evaluator)
 
 
-_SOLVERS: dict[str, SolverSpec] = {}
+#: Every registered engine, by name.
+SOLVERS: Registry[SolverSpec] = Registry("solver")
 
 
 def register_solver(spec: SolverSpec) -> SolverSpec:
     """Add one solver spec to the registry; duplicate names are errors."""
-    if spec.name in _SOLVERS:
-        raise ConfigurationError("solver %r is already registered" % spec.name)
-    _SOLVERS[spec.name] = spec
-    return spec
+    return SOLVERS.register(spec)
 
 
 def get_solver(name: str) -> SolverSpec:
@@ -136,18 +126,12 @@ def get_solver(name: str) -> SolverSpec:
     >>> get_solver("pmo2").title
     "PMO2 archipelago (the paper's algorithm)"
     """
-    try:
-        return _SOLVERS[name]
-    except KeyError:
-        raise UnknownSolverError(
-            "unknown solver %r%s (available: %s)"
-            % (name, did_you_mean(name, _SOLVERS), ", ".join(sorted(_SOLVERS)))
-        ) from None
+    return SOLVERS.get(name)
 
 
 def solver_names() -> list[str]:
     """Sorted names of every registered solver."""
-    return sorted(_SOLVERS)
+    return SOLVERS.names()
 
 
 # ---------------------------------------------------------------------------

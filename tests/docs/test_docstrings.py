@@ -22,11 +22,11 @@ import repro.geobacter.problem
 import repro.kinetics
 import repro.moo.kernels
 import repro.obs
-import repro.params
 import repro.photosynthesis.nitrogen
 import repro.photosynthesis.problem
 import repro.photosynthesis.steady_state
 import repro.problems
+import repro.registry
 import repro.runtime
 import repro.serve
 import repro.solve
@@ -43,16 +43,16 @@ PACKAGES = [
 ]
 
 #: Individual modules audited in addition to the full packages (the
-#: vectorized kernels, the shared Parameter primitive and the science modules
+#: vectorized kernels, the shared registry module and the science modules
 #: that grew batch paths are public API even though their parent packages are
 #: documented more loosely).
 EXTRA_MODULES = [
     repro.geobacter.problem,
     repro.moo.kernels,
-    repro.params,
     repro.photosynthesis.nitrogen,
     repro.photosynthesis.problem,
     repro.photosynthesis.steady_state,
+    repro.registry,
 ]
 
 #: Dotted names whose docstrings must show a usage example.
@@ -89,6 +89,8 @@ REQUIRED_EXAMPLES = [
     "repro.problems.registry.build_problem",
     "repro.problems.space.DesignSpace",
     "repro.problems.transforms",
+    "repro.registry",
+    "repro.registry.Registry",
     "repro.runtime.checkpoint",
     "repro.runtime.evaluator.build_evaluator",
     "repro.runtime.ledger.EvaluationLedger.summary",

@@ -15,8 +15,8 @@ algorithm as the executable specification of the fast paths:
 * ``benchmarks/bench_fba.py`` times the batched paths against these
   loops and records the speedup trajectory in ``BENCH_fba.json``.
 
-Nothing in the library's runtime path imports this module; it exists for
-verification and measurement only.
+The module lives under ``tests/``, outside the installed package; it exists
+for verification and measurement only.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The fast stack (shared :class:`~repro.fba.assembly.LPAssembly`, sparse LP
 constraints, batched violation screens) must reproduce the naive per-call
-implementations preserved in :mod:`repro.fba._reference` *bitwise*.  The
+implementations preserved in :mod:`tests.fba.fba_oracles` *bitwise*.  The
 suite checks that three ways:
 
 * element-for-element comparisons of the fast and reference results over
@@ -36,7 +36,7 @@ from repro.fba import (
     single_deletions,
     steady_state_violations,
 )
-from repro.fba._reference import (
+from tests.fba.fba_oracles import (
     reference_bound_violation,
     reference_constraint_violation,
     reference_double_deletions,

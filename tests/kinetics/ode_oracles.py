@@ -14,8 +14,8 @@ algorithm as the executable specification of the fast paths:
 * ``benchmarks/bench_kinetics.py`` times the batched right-hand side
   against these loops and records the speedups in ``BENCH_kinetics.json``.
 
-Nothing in the library's runtime path imports this module; it exists for
-verification and measurement only.
+The module lives under ``tests/``, outside the installed package; it exists
+for verification and measurement only.
 """
 
 from __future__ import annotations

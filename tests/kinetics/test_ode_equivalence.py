@@ -4,7 +4,7 @@ The columnwise rate laws (:meth:`~repro.kinetics.rate_laws.RateLaw
 .rate_batch`), the population right-hand side
 (:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
 ensemble simulator must reproduce the naive per-member loops preserved in
-:mod:`repro.kinetics._reference` *bitwise*.  The suite checks that three
+:mod:`tests.kinetics.ode_oracles` *bitwise*.  The suite checks that three
 ways:
 
 * element-for-element comparisons of every rate law, the flux matrix and
@@ -42,7 +42,7 @@ from repro.kinetics import (
     RapidEquilibrium,
     ReversibleMichaelisMenten,
 )
-from repro.kinetics._reference import (
+from tests.kinetics.ode_oracles import (
     reference_build_rhs,
     reference_fluxes,
     reference_rate,

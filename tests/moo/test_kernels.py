@@ -2,7 +2,7 @@
 
 Every kernel of :mod:`repro.moo.kernels` must agree element-for-element
 (values, orders, tie-breaks) with the preserved pure-Python implementations
-in :mod:`repro.moo._reference` on seeded random populations — feasible,
+in :mod:`tests.moo.kernel_oracles` on seeded random populations — feasible,
 infeasible, mixed, and with duplicated objective rows.  A golden-file test
 additionally locks the whole refactor down end to end: the ``front.json``
 artifact of a canned experiment must be bitwise identical to the one the
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.moo import kernels
-from repro.moo._reference import (
+from tests.moo.kernel_oracles import (
     reference_archive_prune,
     reference_constrained_dominates,
     reference_crowding_distance,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.moo import kernels
-from repro.moo._reference import reference_archive_prune
+from tests.moo.kernel_oracles import reference_archive_prune
 from repro.moo.archive import ParetoArchive
 from repro.moo.dominance import (
     crowding_distance,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.params import Parameter
 from repro.problems import (
     ProblemSpec,
     build_problem,
@@ -13,7 +12,7 @@ from repro.problems import (
     parse_problem_spec,
     problem_names,
 )
-from repro.problems.registry import _PROBLEMS
+from repro.registry import Parameter
 
 
 class TestRegistryContents:
@@ -51,7 +50,7 @@ class TestRegistryContents:
             from repro.problems import register_problem
 
             register_problem(spec)
-        assert _PROBLEMS["zdt1"] is spec  # registry unharmed
+        assert get_problem("zdt1") is spec  # registry unharmed
 
 
 class TestSpecStrings:

@@ -5,6 +5,8 @@ built by the plain ``initialize(); step() x N`` loop on a hand-built engine.
 """
 
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -84,6 +86,24 @@ class TestManager:
         with pytest.raises(CheckpointError, match="format version 1"):
             solve(problem, "nsga2", population_size=8, seed=0, termination=6,
                   checkpoint_dir=str(tmp_path))
+
+    def test_state_of_a_removed_class_is_a_checkpoint_error(self, tmp_path, monkeypatch):
+        # A checkpoint written by a version that had a module this one
+        # deleted must be refused like any other unreadable checkpoint.
+        module = types.ModuleType("repro_removed_module")
+
+        class Ghost:
+            generation = 3
+
+        Ghost.__module__, Ghost.__qualname__ = module.__name__, "Ghost"
+        module.Ghost = Ghost
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        manager = CheckpointManager(tmp_path)
+        manager.save(Ghost(), generation=3)
+        monkeypatch.delitem(sys.modules, module.__name__)
+        with pytest.raises(CheckpointError, match="cannot read checkpoint") as excinfo:
+            manager.load()
+        assert isinstance(excinfo.value.__cause__, ModuleNotFoundError)
 
     def test_rejects_bad_configuration(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -79,11 +79,13 @@ class TestErrorMapping:
         with pytest.raises(ServiceError) as excinfo:
             service.submit(problem="no-such-problem")
         assert excinfo.value.status == 400
+        assert "unknown problem 'no-such-problem'" in str(excinfo.value)
 
     def test_unknown_algorithm_is_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
-            service.submit(problem="zdt1", algorithm="no-such-solver")
+            service.submit(problem="zdt1", algorithm="nsga")
         assert excinfo.value.status == 400
+        assert "unknown solver 'nsga' — did you mean nsga2?" in str(excinfo.value)
 
     def test_unknown_spec_field_is_400(self, service):
         with pytest.raises(ServiceError) as excinfo:

@@ -13,6 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
 from repro.moo.testproblems import Schaffer, ZDT1
+from repro.registry import UnknownNameError
 from repro.runtime.evaluator import build_evaluator
 from repro.solve import (
     CallbackObserver,
@@ -21,7 +22,6 @@ from repro.solve import (
     Observer,
     Solver,
     SolveResult,
-    UnknownSolverError,
     build_problem,
     get_solver,
     problem_names,
@@ -43,7 +43,7 @@ class TestRegistry:
         assert solver_names() == ["archipelago", "moead", "nsga2", "pmo2"]
 
     def test_unknown_solver_suggests_names(self):
-        with pytest.raises(UnknownSolverError, match="unknown solver"):
+        with pytest.raises(UnknownNameError, match="unknown solver"):
             get_solver("nsga3")
 
     def test_engines_satisfy_the_solver_protocol(self):
@@ -272,7 +272,7 @@ class TestErrors:
             solve(Schaffer(), "nsga2", population_size=8)
 
     def test_unknown_algorithm(self):
-        with pytest.raises(UnknownSolverError):
+        with pytest.raises(UnknownNameError):
             solve(Schaffer(), "annealing", termination=1)
 
     def test_initial_population_only_for_engines_that_accept_one(self):
