@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.designer import RobustPathwayDesigner, SelectedDesign
 from repro.geobacter.analysis import TradeOffPoint, representative_points, violation_reduction
 from repro.geobacter.problem import GeobacterDesignProblem
-from repro.moo.individual import Individual
 from repro.moo.metrics import coverage_report
 from repro.moo.mining import equally_spaced_selection
 from repro.moo.moead import MOEADConfig
@@ -509,8 +508,7 @@ def run_figure4(
     objectives = front.objective_matrix()
     production = problem.production_front(objectives)
     violations = np.array(
-        [individual.info.get("steady_state_violation", individual.constraint_violation)
-         for individual in front]
+        [info.get("steady_state_violation", cv) for info, cv in zip(front.info, front.CV)]
     )
     points = representative_points(production, violations, count=5)
     initial_violation = problem.random_guess_violation(seed=seed)

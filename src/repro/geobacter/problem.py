@@ -31,7 +31,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.fba.model import StoichiometricModel
 from repro.fba.solver import optimize_combination
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import Population
 from repro.problems.base import Problem
 from repro.problems.batch import BatchEvaluation, EvaluationResult
 from repro.geobacter.model_builder import (
@@ -214,13 +214,12 @@ class GeobacterDesignProblem(Problem):
             directly).
         """
         seeds = self.fba_seed_vectors(n_seeds=min(n_seeds, size))
-        individuals = [Individual(self.clip(seed)) for seed in seeds[:size]]
-        while len(individuals) < size:
+        vectors = [self.clip(seed) for seed in seeds[:size]]
+        while len(vectors) < size:
             base = seeds[int(rng.integers(0, len(seeds)))]
             noise = rng.uniform(1.0 - perturbation, 1.0 + perturbation, size=base.shape)
-            shifted = base * noise
-            individuals.append(Individual(self.clip(shifted)))
-        return Population(individuals)
+            vectors.append(self.clip(base * noise))
+        return Population.from_vectors(vectors)
 
     def production_front(self, objectives: np.ndarray) -> np.ndarray:
         """Convert minimized objectives to (electron, biomass) natural units."""

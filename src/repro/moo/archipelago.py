@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.topology import AllToAllTopology, Topology, topology_from_name
@@ -94,24 +94,24 @@ class Island:
         """Advance the wrapped optimizer by one generation."""
         self.optimizer.step()
 
-    def emigrants(self, count: int) -> list[Individual]:
+    def emigrants(self, count: int) -> Population:
         """Pick ``count`` migrants from the wrapped optimizer."""
         if hasattr(self.optimizer, "emigrants"):
             migrants = self.optimizer.emigrants(count)
         else:
-            # Fallback: take the least dominated archive members.
-            migrants = [m.copy() for m in list(self.optimizer.archive)[:count]]
+            # Fallback: take the first archive members.
+            migrants = self.optimizer.archive.members[:count]
         self.sent_migrants += len(migrants)
         return migrants
 
-    def immigrate(self, migrants: list[Individual]) -> None:
+    def immigrate(self, migrants: Population) -> None:
         """Inject migrants into the wrapped optimizer."""
         if not migrants:
             return
         if hasattr(self.optimizer, "immigrate"):
             self.optimizer.immigrate(migrants)
         else:
-            self.optimizer.archive.add_population(migrants)
+            self.optimizer.archive.extend(migrants)
         self.received_migrants += len(migrants)
 
     @property
@@ -289,20 +289,20 @@ class Archipelago:
             "archipelago.migrate", islands=len(self.islands)
         ) as span:
             active_edges = 0
-            outgoing: dict[int, list[Individual]] = {}
+            outgoing: dict[int, Population] = {}
             for i, island in enumerate(self.islands):
                 if self.topology.destinations(i):
                     outgoing[i] = island.emigrants(self.policy.count)
-            inbound: dict[int, list[Individual]] = {
+            inbound: dict[int, list[Population]] = {
                 i: [] for i in range(len(self.islands))
             }
             for i in range(len(self.islands)):
                 for j in self.topology.destinations(i):
                     if self.rng.random() <= self.policy.rate:
-                        inbound[j].extend(m.copy() for m in outgoing.get(i, []))
+                        inbound[j].append(outgoing[i])
                         active_edges += 1
             for j, migrants in inbound.items():
-                self.islands[j].immigrate(migrants)
+                self.islands[j].immigrate(Population.concat(migrants))
             self.migrations += 1
             span.set(active_edges=active_edges, migrations=self.migrations)
         return active_edges
@@ -361,7 +361,7 @@ class Archipelago:
         """Merge every island archive into one global non-dominated archive."""
         merged = ParetoArchive(capacity=capacity)
         for island in self.islands:
-            merged.add_population(island.archive)
+            merged.extend(island.archive.members)
         return merged
 
     @property

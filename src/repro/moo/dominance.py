@@ -9,12 +9,11 @@ for *minimization* and is constraint-aware following Deb's feasibility rules:
    violation dominates,
 3. between two feasible solutions ordinary Pareto dominance applies.
 
-Since the kernel refactor the public functions here are thin, API-compatible
-wrappers over the vectorized matrix kernels of :mod:`repro.moo.kernels`:
-they accept the same populations / objective matrices as before and return
-bitwise-identical results (same fronts, same within-front order, same
-crowding values), but the O(n^2) pairwise work runs as NumPy boolean
-algebra instead of Python loops.
+The public functions here are thin wrappers over the vectorized matrix
+kernels of :mod:`repro.moo.kernels`.  They read a population's ``F`` and
+``CV`` columns and, for :func:`assign_ranks_and_crowding`, write its
+``rank`` and ``crowding`` columns; the O(n^2) pairwise work runs as NumPy
+boolean algebra.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.moo import kernels
-from repro.moo.individual import (
-    Individual,
-    Population,
-    objective_matrix_of,
-    violation_vector_of,
-)
+from repro.moo.individual import Individual, Population, as_population
 
 __all__ = [
     "dominates",
@@ -76,16 +70,6 @@ def non_dominated_front_indices(objectives: np.ndarray) -> list[int]:
     return np.flatnonzero(kernels.non_dominated_mask(objectives)).tolist()
 
 
-def _population_columns(
-    population: Population | Sequence[Individual],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar (objectives, violations) view of a population or sequence."""
-    if isinstance(population, Population):
-        return population.F, population.CV
-    individuals = list(population)
-    return objective_matrix_of(individuals), violation_vector_of(individuals)
-
-
 def fast_non_dominated_sort(population: Population | Sequence[Individual]) -> list[list[int]]:
     """Deb's fast non-dominated sorting.
 
@@ -95,10 +79,10 @@ def fast_non_dominated_sort(population: Population | Sequence[Individual]) -> li
     fronts (including within-front order) are identical to the classic
     pairwise implementation.
     """
-    objectives, violations = _population_columns(population)
-    if objectives.shape[0] == 0:
+    population = as_population(population)
+    if len(population) == 0:
         return []
-    return kernels.nondominated_sort(objectives, violations)
+    return kernels.nondominated_sort(population.F, population.CV)
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -112,19 +96,20 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
 
 
 def assign_ranks_and_crowding(population: Population) -> list[list[int]]:
-    """Run the sorting and store rank / crowding on every individual.
+    """Sort the population and write its ``rank`` and ``crowding`` columns.
 
     Returns the fronts so callers can reuse them without re-sorting.
     """
-    objectives, violations = _population_columns(population)
-    if objectives.shape[0] == 0:
+    if len(population) == 0:
         return []
-    fronts = kernels.nondominated_sort(objectives, violations)
-    for rank, front in enumerate(fronts):
-        distances = kernels.crowding_distances(objectives[np.asarray(front)])
-        for position, index in enumerate(front):
-            population[index].rank = rank
-            population[index].crowding = float(distances[position])
+    objectives = population.F
+    fronts = kernels.nondominated_sort(objectives, population.CV)
+    rank = np.empty(len(population), dtype=np.int64)
+    crowding = np.empty(len(population))
+    for number, front in enumerate(fronts):
+        rank[front] = number
+        crowding[front] = kernels.crowding_distances(objectives[front])
+    population.rank, population.crowding = rank, crowding
     return fronts
 
 
@@ -132,5 +117,4 @@ def filter_non_dominated(population: Population) -> Population:
     """Return the feasible-first non-dominated subset of a population."""
     if len(population) == 0:
         return Population()
-    fronts = fast_non_dominated_sort(population)
-    return Population(population[i] for i in fronts[0])
+    return population.take(fast_non_dominated_sort(population)[0])

@@ -23,12 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import (
-    Individual,
-    Population,
-    objective_matrix_of,
-    violation_vector_of,
-)
+from repro.moo.individual import Population
 from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
 from repro.moo.validation import (
     check,
@@ -136,7 +131,9 @@ class MOEAD:
     ``evaluator`` optionally routes objective evaluations through a
     :class:`~repro.runtime.evaluator.Evaluator` (process pool, cache, ...);
     the initial population is evaluated as one batch, offspring one by one
-    (MOEA/D's replacement is inherently sequential).
+    (MOEA/D's replacement is inherently sequential).  The incumbents are one
+    :class:`Population`, row ``i`` solving sub-problem ``i``; its ``F`` and
+    ``CV`` columns feed the neighbourhood update directly.
     """
 
     def __init__(
@@ -153,13 +150,7 @@ class MOEAD:
         self.rng = np.random.default_rng(seed)
         self.weights = uniform_weight_vectors(problem.n_obj, self.config.population_size)
         self.neighbors = self._build_neighborhoods()
-        self.population: list[Individual] = []
-        #: Columnar views of the incumbents — an (n, m) objective matrix and
-        #: an (n,) violation vector kept in sync with ``population`` so the
-        #: neighbourhood update runs as one broadcast instead of per-index
-        #: aggregation (rebuilt at every generation boundary).
-        self._incumbent_F: np.ndarray | None = None
-        self._incumbent_CV: np.ndarray | None = None
+        self.population = Population()
         self.ideal: np.ndarray | None = None
         self.archive = ParetoArchive(capacity=self.config.archive_capacity)
         self.evaluations = 0
@@ -174,77 +165,27 @@ class MOEAD:
         size = self.config.resolved_neighborhood_size()
         return np.argsort(distances, axis=1)[:, :size]
 
-    def _aggregate(self, individual: Individual, weight: np.ndarray) -> float:
-        """Tchebycheff aggregation with a constraint penalty."""
-        assert self.ideal is not None
-        weight = np.where(weight <= 0.0, 1e-6, weight)
-        value = float(np.max(weight * np.abs(individual.objectives - self.ideal)))
-        return value + self.config.constraint_penalty * individual.constraint_violation
-
     def _aggregate_batch(
         self, objectives: np.ndarray, violations: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
-        """Row-wise Tchebycheff aggregation (broadcast form of :meth:`_aggregate`).
+        """Row-wise Tchebycheff aggregation with a constraint penalty.
 
         ``objectives`` is ``(k, m)`` (or ``(1, m)``, broadcast against the
-        ``(k, m)`` weight rows), ``violations`` scalar or ``(k,)``.  Each row
-        uses the same elementwise operations as the scalar method, so the
-        values are bitwise identical.
+        ``(k, m)`` weight rows), ``violations`` scalar or ``(k,)``.  Zero
+        weights are replaced by ``1e-6``.
         """
         assert self.ideal is not None
         weights = np.where(weights <= 0.0, 1e-6, weights)
         values = np.max(weights * np.abs(objectives - self.ideal[None, :]), axis=1)
         return values + self.config.constraint_penalty * violations
 
-    def _refresh_incumbent_columns(self) -> None:
-        """Rebuild the columnar incumbent views from the population.
-
-        Called at every generation boundary, so the views can never go stale
-        — not even when a checkpoint restore swaps the population out from
-        under a warm instance.  One ``(n, m)`` stack per generation is noise
-        next to the per-child replacement work it accelerates.
-        """
-        self._incumbent_F = objective_matrix_of(self.population)
-        self._incumbent_CV = violation_vector_of(self.population)
-
-    def _update_ideal(self, individual: Individual) -> None:
-        if self.ideal is None:
-            self.ideal = individual.objectives.copy()
-        else:
-            self.ideal = np.minimum(self.ideal, individual.objectives)
-
-    # ------------------------------------------------------------------
-    def _evaluate(self, individual: Individual) -> None:
-        X = individual.x[None, :]
-        if self.evaluator is None:
-            batch = self.problem.evaluate_matrix(X)
-        else:
-            batch = self.evaluator.evaluate_matrix(self.problem, X)
-        individual.set_evaluation(batch.result(0))
-        self.evaluations += 1
-
     def initialize(self) -> None:
         """Sample and evaluate the initial set of sub-problem incumbents."""
-        # Draw every incumbent first (same RNG stream as the sequential
-        # version), then evaluate them as one batch so a pooled evaluator can
-        # fan the whole initialization out.
-        individuals = [
-            Individual(self.problem.random_solution(self.rng))
-            for _ in range(self.config.population_size)
-        ]
-        X = np.vstack([individual.x for individual in individuals])
-        if self.evaluator is None:
-            batch = self.problem.evaluate_matrix(X)
-        else:
-            batch = self.evaluator.evaluate_matrix(self.problem, X)
-        self.population = []
-        for index, individual in enumerate(individuals):
-            individual.set_evaluation(batch.result(index))
-            self.evaluations += 1
-            self._update_ideal(individual)
-            self.population.append(individual)
-        self._refresh_incumbent_columns()
-        self.archive.add_population(self.population)
+        # One batch, so a pooled evaluator can fan the initialization out.
+        self.population = Population.random(self.problem, self.config.population_size, self.rng)
+        self.evaluations += self.population.evaluate(self.problem, self.evaluator)
+        self.ideal = self.population.F.min(axis=0)
+        self.archive.extend(self.population)
         self.generation = 0
 
     def _mating_pool(self, index: int) -> tuple[np.ndarray, bool]:
@@ -255,12 +196,13 @@ class MOEAD:
 
     def _reproduce(self, index: int, pool: np.ndarray) -> np.ndarray:
         lower, upper = self.problem.lower_bounds, self.problem.upper_bounds
+        X = self.population.X
         if self.config.variation == "de":
             picks = self.rng.choice(pool, size=2, replace=False)
             child = differential_variation(
-                self.population[index].x,
-                self.population[int(picks[0])].x,
-                self.population[int(picks[1])].x,
+                X[index],
+                X[int(picks[0])],
+                X[int(picks[1])],
                 lower,
                 upper,
                 self.rng,
@@ -270,8 +212,8 @@ class MOEAD:
         else:
             picks = self.rng.choice(pool, size=2, replace=False)
             child, _ = sbx_crossover(
-                self.population[int(picks[0])].x,
-                self.population[int(picks[1])].x,
+                X[int(picks[0])],
+                X[int(picks[1])],
                 lower,
                 upper,
                 self.rng,
@@ -291,43 +233,35 @@ class MOEAD:
         """Perform one MOEA/D generation (one pass over all sub-problems)."""
         if not self.population:
             self.initialize()
-        self._refresh_incumbent_columns()
         for index in range(self.config.population_size):
             pool, restricted = self._mating_pool(index)
-            child_vector = self._reproduce(index, pool)
-            child = Individual(child_vector)
-            self._evaluate(child)
-            self._update_ideal(child)
-            self.archive.add(child)
+            child = Population.from_vectors([self._reproduce(index, pool)])
+            self.evaluations += child.evaluate(self.problem, self.evaluator)
+            self.ideal = np.minimum(self.ideal, child.F[0])
+            self.archive.extend(child)
             replace_pool = pool if restricted else np.arange(self.config.population_size)
             order = self.rng.permutation(replace_pool)
             self._update_neighborhood(child, order)
         self.generation += 1
 
-    def _update_neighborhood(self, child: Individual, order: np.ndarray) -> int:
+    def _update_neighborhood(self, child: Population, order: np.ndarray) -> int:
         """Replace up to ``max_replacements`` incumbents the child improves on.
 
         One broadcast computes the child's and the incumbents' Tchebycheff
         values over the whole (permuted) replacement pool at once; the first
         ``max_replacements`` improved sub-problems — in permutation order,
-        exactly as the sequential scan visited them — adopt a copy of the
-        child.  Returns the number of replacements performed.
+        exactly as the sequential scan visited them — adopt the one-row
+        ``child``.  Returns the number of replacements performed.
         """
-        assert self._incumbent_F is not None and self._incumbent_CV is not None
-        child_values = self._aggregate_batch(
-            child.objectives[None, :], child.constraint_violation, self.weights[order]
-        )
+        child_values = self._aggregate_batch(child.F, child.CV[0], self.weights[order])
         incumbent_values = self._aggregate_batch(
-            self._incumbent_F[order], self._incumbent_CV[order], self.weights[order]
+            self.population.F[order], self.population.CV[order], self.weights[order]
         )
-        improved = order[child_values < incumbent_values]
-        improved = improved[: self.config.max_replacements]
-        for j in improved:
-            j = int(j)
-            clone = child.copy()
-            self.population[j] = clone
-            self._incumbent_F[j] = clone.objectives
-            self._incumbent_CV[j] = clone.constraint_violation
+        improved = order[child_values < incumbent_values][: self.config.max_replacements]
+        if improved.size:
+            self.population.replace_rows(
+                improved, child.take(np.zeros(improved.size, dtype=np.intp))
+            )
         return int(improved.size)
 
     # ------------------------------------------------------------------
@@ -336,7 +270,7 @@ class MOEAD:
     @property
     def is_initialized(self) -> bool:
         """Whether :meth:`initialize` has produced the incumbents."""
-        return bool(self.population)
+        return len(self.population) > 0
 
     def pareto_front(self) -> Population:
         """Snapshot of the non-dominated front accumulated so far."""
@@ -349,7 +283,7 @@ class MOEAD:
         return SolveResult(
             algorithm="moead",
             problem=self.problem.name,
-            population=Population(ind.copy() for ind in self.population),
+            population=self.population.copy(),
             archive=self.archive,
             generations=self.generation,
             evaluations=self.evaluations,

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.dominance import assign_ranks_and_crowding
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import UNRANKED, Individual, Population, as_population
 from repro.moo.operators import (
     binary_tournament,
     latin_hypercube,
@@ -151,7 +151,7 @@ class NSGA2:
             )
         self.evaluations += self.population.evaluate(self.problem, self.evaluator)
         assign_ranks_and_crowding(self.population)
-        self.archive.add_population(self.population)
+        self.archive.extend(self.population)
         self.generation = 0
 
     def _make_offspring(self) -> Population:
@@ -190,23 +190,29 @@ class NSGA2:
     def _environmental_selection(self, union: Population) -> Population:
         """Elitist truncation of the parent+offspring union.
 
-        Ranking, crowding and the truncation order all run on the vectorized
-        kernels; the stable descending-crowding order reproduces the classic
-        ``sorted(..., reverse=True)`` tie-breaking exactly.
+        The union is ranked once.  Whole fronts keep the union's rank and
+        crowding; the overflowing front is cut in stable descending-crowding
+        order and only its crowding is recomputed, among the survivors.  The
+        survivors are one index take, and their columns equal a fresh
+        :func:`assign_ranks_and_crowding` of them bit for bit.
         """
         fronts = assign_ranks_and_crowding(union)
-        survivors = Population()
-        for front in fronts:
-            if len(survivors) + len(front) <= self.config.population_size:
-                survivors.extend(union[i] for i in front)
-            else:
-                remaining = self.config.population_size - len(survivors)
-                crowding = np.array([union[i].crowding for i in front])
-                order = kernels.crowding_truncation_order(crowding)
-                survivors.extend(union[front[k]] for k in order[:remaining])
-                break
-        assign_ranks_and_crowding(survivors)
-        return survivors
+        size = self.config.population_size
+        whole: list[int] = []
+        for number, front in enumerate(fronts):
+            if len(whole) + len(front) <= size:
+                whole.extend(front)
+                continue
+            order = kernels.crowding_truncation_order(union.crowding[front])
+            cut = [front[k] for k in order[: size - len(whole)]]
+            survivors = union.take(whole + cut)
+            if cut:
+                previous = fronts[number - 1] if number else None
+                crowding = survivors.crowding.copy()
+                crowding[len(whole):] = _cut_front_crowding(union, previous, cut)
+                survivors.crowding = crowding
+            return survivors
+        return union.take(whole)
 
     def step(self) -> None:
         """Advance the optimizer by one generation."""
@@ -215,9 +221,9 @@ class NSGA2:
         assert self.population is not None
         offspring = self._make_offspring()
         self.evaluations += offspring.evaluate(self.problem, self.evaluator)
-        union = Population(list(self.population) + list(offspring))
+        union = Population.concat([self.population, offspring])
         self.population = self._environmental_selection(union)
-        self.archive.add_population(self.population)
+        self.archive.extend(self.population)
         self.generation += 1
 
     # ------------------------------------------------------------------
@@ -250,31 +256,45 @@ class NSGA2:
     # ------------------------------------------------------------------
     # Migration support (used by the archipelago)
     # ------------------------------------------------------------------
-    def emigrants(self, count: int) -> list[Individual]:
-        """Select ``count`` migrants: the least crowded rank-0 individuals."""
+    def _best_first(self) -> np.ndarray:
+        """Rows by rank (unranked = 0), then descending crowding, then row order."""
         assert self.population is not None
-        ranked = sorted(
-            self.population,
-            key=lambda ind: (ind.rank if ind.rank is not None else 0, -ind.crowding),
-        )
-        return [ind.copy() for ind in ranked[:count]]
+        rank = np.where(self.population.rank == UNRANKED, 0, self.population.rank)
+        return np.lexsort((-self.population.crowding, rank))
 
-    def immigrate(self, immigrants: list[Individual]) -> None:
+    def emigrants(self, count: int) -> Population:
+        """Select ``count`` migrants: the least crowded rank-0 individuals."""
+        return self.population.take(self._best_first()[:count])
+
+    def immigrate(self, immigrants: Population | list[Individual]) -> None:
         """Replace the worst individuals with incoming migrants."""
-        if not immigrants or self.population is None:
+        immigrants = as_population(immigrants)
+        if not len(immigrants) or self.population is None:
             return
-        ranked = sorted(
-            range(len(self.population)),
-            key=lambda i: (
-                self.population[i].rank if self.population[i].rank is not None else 0,
-                -self.population[i].crowding,
-            ),
-        )
-        worst_first = list(reversed(ranked))
         replacements = min(len(immigrants), len(self.population))
-        individuals = list(self.population)
-        for slot, migrant in zip(worst_first[:replacements], immigrants[:replacements]):
-            individuals[slot] = migrant.copy()
-        self.population = Population(individuals)
+        worst_first = self._best_first()[::-1]
+        self.population.replace_rows(worst_first[:replacements], immigrants[:replacements])
         assign_ranks_and_crowding(self.population)
-        self.archive.add_population(self.population)
+        self.archive.extend(self.population)
+
+
+def _cut_front_crowding(
+    union: Population, previous: list[int] | None, cut: list[int]
+) -> np.ndarray:
+    """Crowding of the ``cut`` rows among themselves, in survivor order.
+
+    A fresh sort of the survivors lists a later front by the position of each
+    row's last dominator in the ``previous`` front, ties in survivor order,
+    and crowding breaks ties between equal values by that order; front 0 is
+    simply in survivor order.
+    """
+    F = union.F
+    if previous is None:
+        return kernels.crowding_distances(F[cut])
+    CV = union.CV
+    released = kernels.constrained_domination_blocks(F[previous], CV[previous], F[cut], CV[cut])
+    last_dominator = len(previous) - 1 - np.argmax(released[::-1], axis=0)
+    order = np.argsort(last_dominator, kind="stable")
+    distances = np.empty(len(cut))
+    distances[order] = kernels.crowding_distances(F[cut][order])
+    return distances

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.moo import kernels
-from repro.moo.individual import Population
+from repro.moo.individual import UNRANKED, Population
 from repro.problems.base import Problem
 
 __all__ = [
@@ -185,8 +185,8 @@ def binary_tournament(
     """Constraint-aware binary tournaments; returns ``size`` winner indices.
 
     Selection order: lower rank wins, then larger crowding distance, then a
-    coin.  Individuals must have rank and crowding assigned (i.e. the
-    population has been through :func:`assign_ranks_and_crowding`).
+    coin.  The population's ``rank`` and ``crowding`` columns must be
+    assigned (i.e. it has been through :func:`assign_ranks_and_crowding`).
 
     The draws have a fixed shape, in this order: ``size`` pairs of indices,
     then one tie coin per pair (the first contestant wins a full tie when
@@ -195,13 +195,11 @@ def binary_tournament(
     """
     if len(population) == 0:
         raise ConfigurationError("cannot select from an empty population")
-    ranks = [individual.rank for individual in population]
-    if any(rank is None for rank in ranks):
+    if (population.rank == UNRANKED).any():
         raise ConfigurationError("tournament requires ranked individuals")
-    crowding = [individual.crowding for individual in population]
     pairs = rng.integers(0, len(population), (size, 2))
     tie_coin = rng.random(size)
-    winners, ties = kernels.tournament_winners(ranks, crowding, pairs)
+    winners, ties = kernels.tournament_winners(population.rank, population.crowding, pairs)
     return np.where(ties & (tie_coin >= 0.5), pairs[:, 1], winners)
 
 

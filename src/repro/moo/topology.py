@@ -7,15 +7,15 @@ all-to-all (broadcast) topology over two islands, but the framework "encloses
 ablation benchmarks can compare them.
 
 A topology is simply a mapping ``island index -> list of destination island
-indices``; it is represented internally with a :mod:`networkx` directed graph
-so it can be inspected, validated and drawn by downstream tooling.
+indices``; it is stored as the sorted tuple :attr:`Topology.edges` of directed
+``(source, destination)`` pairs, which is enough to inspect and validate it.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -38,37 +38,36 @@ class Topology(abc.ABC):
         if n_islands <= 0:
             raise ConfigurationError("a topology needs at least one island")
         self.n_islands = int(n_islands)
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(range(self.n_islands))
-        self._build()
+        #: Directed ``(source, destination)`` migration links, sorted, no self-loops.
+        self.edges = tuple(sorted({(i, j) for i, j in self._build() if i != j}))
 
     @abc.abstractmethod
-    def _build(self) -> None:
-        """Populate :attr:`graph` with directed migration edges."""
+    def _build(self) -> Iterable[tuple[int, int]]:
+        """Return the directed migration edges (self-loops are dropped)."""
+
+    def _check_island(self, island: int) -> None:
+        if island < 0 or island >= self.n_islands:
+            raise ConfigurationError("island index out of range")
 
     def destinations(self, island: int) -> list[int]:
         """Islands that receive migrants emitted by ``island``."""
-        if island < 0 or island >= self.n_islands:
-            raise ConfigurationError("island index out of range")
-        return sorted(self.graph.successors(island))
+        self._check_island(island)
+        return [j for i, j in self.edges if i == island]
 
     def sources(self, island: int) -> list[int]:
         """Islands whose migrants reach ``island``."""
-        if island < 0 or island >= self.n_islands:
-            raise ConfigurationError("island index out of range")
-        return sorted(self.graph.predecessors(island))
+        self._check_island(island)
+        return [i for i, j in self.edges if j == island]
 
     @property
     def n_edges(self) -> int:
         """Number of directed migration links."""
-        return self.graph.number_of_edges()
+        return len(self.edges)
 
     def is_connected(self) -> bool:
         """``True`` when every island can eventually receive genetic material
         from every other island (weak connectivity of the digraph)."""
-        if self.n_islands == 1:
-            return True
-        return nx.is_weakly_connected(self.graph)
+        return _weakly_connected(self.n_islands, self.edges)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(n_islands=%d, edges=%d)" % (
@@ -78,36 +77,38 @@ class Topology(abc.ABC):
         )
 
 
+def _weakly_connected(n_islands: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """Breadth-first search from island 0 over the edges taken undirected."""
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {j for edge in edges for i, j in (edge, edge[::-1]) if i in frontier}
+        frontier -= reached
+        reached |= frontier
+    return len(reached) == n_islands
+
+
 class AllToAllTopology(Topology):
     """Broadcast topology: every island sends to every other island.
 
     This is the topology used by the paper's adopted PMO2 configuration.
     """
 
-    def _build(self) -> None:
-        for i in range(self.n_islands):
-            for j in range(self.n_islands):
-                if i != j:
-                    self.graph.add_edge(i, j)
+    def _build(self) -> Iterable[tuple[int, int]]:
+        return [(i, j) for i in range(self.n_islands) for j in range(self.n_islands)]
 
 
 class RingTopology(Topology):
     """Unidirectional ring: island ``i`` sends to island ``(i + 1) % n``."""
 
-    def _build(self) -> None:
-        if self.n_islands == 1:
-            return
-        for i in range(self.n_islands):
-            self.graph.add_edge(i, (i + 1) % self.n_islands)
+    def _build(self) -> Iterable[tuple[int, int]]:
+        return [(i, (i + 1) % self.n_islands) for i in range(self.n_islands)]
 
 
 class StarTopology(Topology):
     """Hub-and-spoke: island 0 exchanges migrants with every other island."""
 
-    def _build(self) -> None:
-        for i in range(1, self.n_islands):
-            self.graph.add_edge(0, i)
-            self.graph.add_edge(i, 0)
+    def _build(self) -> Iterable[tuple[int, int]]:
+        return [edge for i in range(1, self.n_islands) for edge in ((0, i), (i, 0))]
 
 
 class RandomTopology(Topology):
@@ -125,18 +126,18 @@ class RandomTopology(Topology):
         self.seed = seed
         super().__init__(n_islands)
 
-    def _build(self) -> None:
+    def _build(self) -> Iterable[tuple[int, int]]:
         rng = np.random.default_rng(self.seed)
+        n = self.n_islands
         for attempt in range(1000):
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(self.n_islands))
-            for i in range(self.n_islands):
-                for j in range(self.n_islands):
-                    if i != j and rng.random() < self.edge_probability:
-                        graph.add_edge(i, j)
-            if self.n_islands == 1 or nx.is_weakly_connected(graph):
-                self.graph = graph
-                return
+            edges = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j and rng.random() < self.edge_probability
+            ]
+            if _weakly_connected(n, edges):
+                return edges
         raise ConfigurationError(
             "could not sample a connected random topology; raise edge_probability"
         )
@@ -145,8 +146,8 @@ class RandomTopology(Topology):
 class IsolatedTopology(Topology):
     """No migration at all; used as the ablation baseline for PMO2."""
 
-    def _build(self) -> None:
-        return
+    def _build(self) -> Iterable[tuple[int, int]]:
+        return []
 
 
 _NAMED_TOPOLOGIES = {

@@ -148,10 +148,15 @@ class BatchEvaluation:
 
     @property
     def total_violations(self) -> np.ndarray:
-        """Per-row sum of positive constraint violations (``(n,)`` vector)."""
+        """Per-row sum of positive constraint violations (``(n,)`` vector).
+
+        Each entry equals ``result(i).total_violation`` bit for bit: the rows
+        are summed from a C-ordered array, so numpy reduces each row exactly
+        as it reduces that row alone.
+        """
         if self.G.shape[1] == 0:
             return np.zeros(len(self))
-        return np.sum(np.clip(self.G, 0.0, None), axis=1)
+        return np.sum(np.clip(np.ascontiguousarray(self.G), 0.0, None), axis=1)
 
     @property
     def feasible(self) -> np.ndarray:

@@ -48,7 +48,9 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Version of the checkpoint payload.  Version 2 marks the batched variation
 #: operators, whose random stream differs from version 1's: resuming a
 #: version-1 state under them would finish a run that matches neither.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 marks the columnar populations: the pickled populations,
+#: archives and MOEA/D incumbents hold column arrays, not individuals.
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class CheckpointManager:
@@ -159,7 +161,7 @@ class CheckpointManager:
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 "checkpoint %s has format version %r, but this version reads only "
-                "version %d (its optimizers draw a different random stream); "
+                "version %d (the optimizer state or its random stream differs); "
                 "start the run afresh" % (chosen, version, CHECKPOINT_FORMAT_VERSION)
             )
         return payload["state"], int(payload.get("generation", 0))

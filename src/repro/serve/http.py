@@ -52,11 +52,20 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
 #: Largest accepted request body (submit payloads are tiny).
 _MAX_BODY = 1 << 20
+
+
+class _RequestError(Exception):
+    """A request that is refused before routing, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class HttpServer:
@@ -117,6 +126,8 @@ class HttpServer:
                 return
             method, path, body = request
             await self._route(writer, method, path, body)
+        except _RequestError as error:
+            await self._send_json(writer, error.status, {"error": str(error)})
         except (ConnectionResetError, BrokenPipeError):
             pass
         except Exception as error:  # pragma: no cover - defensive
@@ -134,7 +145,10 @@ class HttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, bytes] | None":
-        """Parse one request: request line, headers, Content-Length body."""
+        """Parse one request: request line, headers, Content-Length body.
+
+        A bad ``Content-Length`` is a 400, one above ``_MAX_BODY`` a 413.
+        """
         line = await reader.readline()
         if not line.strip():
             return None
@@ -152,8 +166,13 @@ class HttpServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    content_length = 0
-        content_length = min(content_length, _MAX_BODY)
+                    content_length = -1
+                if content_length < 0:
+                    raise _RequestError(400, "invalid Content-Length %r" % value.strip())
+        if content_length > _MAX_BODY:
+            raise _RequestError(
+                413, "request body of %d bytes exceeds %d" % (content_length, _MAX_BODY)
+            )
         body = await reader.readexactly(content_length) if content_length else b""
         path = target.split("?", 1)[0]
         return method, path, body

@@ -103,7 +103,7 @@ def load_warm_population(
                        initial_population=population)
     """
     from repro.core.artifacts import load_json
-    from repro.moo.individual import Individual, Population
+    from repro.moo.individual import Population
 
     front_path, manifest_path = _locate(source)
     payload = load_json(front_path)
@@ -129,7 +129,4 @@ def load_warm_population(
             )
     if population_size is not None and matrix.shape[0] > population_size:
         matrix = matrix[:population_size]
-    population = Population()
-    for row in matrix:
-        population.append(Individual(problem.repair(row)))
-    return population
+    return Population.from_vectors([problem.repair(row) for row in matrix])

@@ -199,8 +199,9 @@ class TestTournamentOracle:
         population = Population.random(problem, size, rng)
         population.evaluate(problem)
         assign_ranks_and_crowding(population)
-        for individual in list(population)[::3]:  # force full ties
-            individual.rank, individual.crowding = 0, 1.0
+        rank, crowding = population.rank.copy(), population.crowding.copy()
+        rank[::3], crowding[::3] = 0, 1.0  # force full ties
+        population.rank, population.crowding = rank, crowding
         return population
 
     @pytest.mark.parametrize("seed", range(4))

@@ -338,28 +338,6 @@ class TestGoldenFront:
         assert json.loads(golden)["objectives"]
 
 
-class TestMOEADIncumbentColumns:
-    def test_step_is_immune_to_stale_incumbent_columns(self):
-        """The columnar incumbents refresh at every generation boundary, so
-        even a checkpoint restore that swaps the population out from under a
-        warm instance (leaving old arrays behind) cannot corrupt results."""
-        from repro.moo.moead import MOEAD, MOEADConfig
-        from repro.moo.testproblems import ZDT1
-        from tests.stepping import stepped
-
-        config = MOEADConfig(population_size=10)
-        baseline = MOEAD(ZDT1(n_var=4), config=config, seed=5)
-        stepped(baseline, 3)
-        stale = stepped(MOEAD(ZDT1(n_var=4), config=config, seed=5), 2)
-        stale._incumbent_F = np.full_like(stale._incumbent_F, 1e9)  # corrupt
-        stale._incumbent_CV = np.full_like(stale._incumbent_CV, 1e9)
-        stale.step()
-        np.testing.assert_array_equal(
-            np.vstack([ind.objectives for ind in baseline.population]),
-            np.vstack([ind.objectives for ind in stale.population]),
-        )
-
-
 class TestColumnarViews:
     def test_views_match_legacy_matrices_and_are_cached(self):
         F, CV, _ = _random_case(4, n=12, feasibility="mixed")
@@ -379,7 +357,7 @@ class TestColumnarViews:
         copy[0, 0] = 99.0  # mutating the copy must not corrupt the cache
         assert population.F[0, 0] != 99.0
 
-    def test_mutation_invalidates_views(self):
+    def test_append_updates_the_columns(self):
         F, CV, _ = _random_case(4, n=6, feasibility="feasible")
         population = _population(F, CV)
         assert population.F.shape[0] == 6

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.moo import kernels
+from repro.moo.dominance import assign_ranks_and_crowding
+from repro.moo.individual import Individual, Population
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.testproblems import ConstrainedBNH, Schaffer, ZDT1
@@ -141,3 +144,69 @@ class TestMigrationHooks:
         before = optimizer.population.decision_matrix().copy()
         optimizer.immigrate([])
         assert np.allclose(before, optimizer.population.decision_matrix())
+
+
+def _tied_union(seed):
+    """A parent+offspring union with ties, duplicate rows and mixed
+    feasibility, and the population size to cut it to."""
+    rng = np.random.default_rng(seed)
+    n_obj = 2 + seed % 2
+    size = 2 * int(rng.integers(2, 10))
+    n = 2 * size
+    F = rng.integers(0, rng.integers(2, 8), (n, n_obj)).astype(float)  # ties per column
+    if seed % 3 == 0:
+        F[:, -1] = 7.0 - F[:, 0]  # a trade-off: a first front larger than the cut
+    copies = rng.integers(0, n, (n // 4, 2))
+    F[copies[:, 0]] = F[copies[:, 1]]  # duplicate rows
+    CV = np.where(rng.random(n) < 0.2, rng.integers(1, 3, n).astype(float), 0.0)
+    rows = []
+    for objectives, violation in zip(F, CV):
+        row = Individual(rng.random(3))
+        row.objectives, row.constraint_violation = objectives, float(violation)
+        rows.append(row)
+    return Population(rows), size
+
+
+def _reference_survivors(union, size):
+    """Row indices the pre-columnar selection kept: whole fronts, then the
+    overflowing front in descending-crowding order."""
+    fronts = assign_ranks_and_crowding(union)
+    kept = []
+    for front in fronts:
+        if len(kept) + len(front) <= size:
+            kept.extend(front)
+            continue
+        order = kernels.crowding_truncation_order(union.crowding[front])
+        return kept + [front[k] for k in order[: size - len(kept)]]
+    return kept
+
+
+class TestEnvironmentalSelection:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_carried_rank_and_crowding_equal_a_fresh_ranking(self, seed):
+        union, size = _tied_union(seed)
+        optimizer = NSGA2(ZDT1(n_var=3), NSGA2Config(population_size=size))
+        survivors = optimizer._environmental_selection(union.copy())
+        expected = _reference_survivors(union.copy(), size)
+        np.testing.assert_array_equal(survivors.X, union.X[expected])
+        fresh = survivors.copy()
+        assign_ranks_and_crowding(fresh)
+        assert survivors.rank.tolist() == fresh.rank.tolist()
+        assert survivors.crowding.tobytes() == fresh.crowding.tobytes()
+
+    def test_cases_cut_the_first_front_and_a_later_one(self):
+        """The cases above cut front 0, and cut later fronts of three
+        objectives, where rows tied in one column need not be duplicates and
+        the order of the cut rows decides their crowding."""
+        cuts = set()
+        for seed in range(80):
+            union, size = _tied_union(seed)
+            fronts = assign_ranks_and_crowding(union)
+            filled = 0
+            for number, front in enumerate(fronts):
+                if filled + len(front) > size:
+                    if filled < size:
+                        cuts.add((union.F.shape[1], number > 0))
+                    break
+                filled += len(front)
+        assert {(2, False), (3, True)} <= cuts

@@ -1,5 +1,8 @@
 """Tests for archipelago migration topologies."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -11,6 +14,8 @@ from repro.moo.topology import (
     StarTopology,
     topology_from_name,
 )
+
+RECORDED_EDGES = Path(__file__).parent / "data" / "random_topology_edges.json"
 
 
 class TestAllToAll:
@@ -61,7 +66,18 @@ class TestRandom:
         a = RandomTopology(5, edge_probability=0.4, seed=3)
         b = RandomTopology(5, edge_probability=0.4, seed=3)
         assert a.is_connected()
-        assert set(a.graph.edges) == set(b.graph.edges)
+        assert a.edges == b.edges
+
+    def test_edges_match_the_recorded_networkx_topologies(self):
+        """Edges recorded from the networkx-backed implementation."""
+        recorded = json.loads(RECORDED_EDGES.read_text(encoding="utf-8"))
+        for key, edges in recorded["edges"].items():
+            n_islands, seed = map(int, key.split("/"))
+            topology = RandomTopology(
+                n_islands, edge_probability=recorded["edge_probability"], seed=seed
+            )
+            assert topology.edges == tuple(map(tuple, edges)), key
+            assert topology.is_connected()
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigurationError):

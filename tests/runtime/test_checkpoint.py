@@ -70,20 +70,26 @@ class TestManager:
             solve(problem, "moead", population_size=8, seed=0, termination=6,
                   checkpoint_dir=str(tmp_path))
 
-    def test_checkpoint_of_the_previous_format_version_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_checkpoint_of_the_previous_format_version_is_refused(
+        self, tmp_path, old_version
+    ):
         # Version-1 checkpoints hold states of the per-pair variation
         # operators; resuming one under the batched operators would finish a
-        # run that matches neither random stream.
+        # run that matches neither random stream.  Version-2 checkpoints
+        # pickle populations of individuals, not columns.
         problem = ZDT1(n_var=6)
         solve(problem, "nsga2", population_size=8, seed=0, termination=4,
               checkpoint_dir=str(tmp_path), checkpoint_interval=2)
         manager = CheckpointManager(tmp_path)
         state, generation = manager.load()
-        payload = {"format_version": 1, "generation": generation, "state": state}
+        payload = {"format_version": old_version, "generation": generation, "state": state}
         manager.latest().write_bytes(pickle.dumps(payload))
-        with pytest.raises(CheckpointError, match="format version 1.*version 2"):
+        with pytest.raises(
+            CheckpointError, match="format version %d.*version 3" % old_version
+        ):
             manager.load()
-        with pytest.raises(CheckpointError, match="format version 1"):
+        with pytest.raises(CheckpointError, match="format version %d" % old_version):
             solve(problem, "nsga2", population_size=8, seed=0, termination=6,
                   checkpoint_dir=str(tmp_path))
 

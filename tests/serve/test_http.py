@@ -7,9 +7,13 @@ subprocess.  The end-to-end behaviour with real workers lives in
 ``test_service.py``.
 """
 
+import json
+import socket
+
 import pytest
 
 from repro.serve import ServeClient, ServeThread, ServiceError
+from repro.serve.http import _MAX_BODY
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +112,57 @@ class TestErrorMapping:
         with pytest.raises(ServiceError) as excinfo:
             list(service.stream("000999-nope"))
         assert excinfo.value.status == 404
+
+
+def _raw_request(service, head: str) -> tuple[int, dict]:
+    """Send ``head`` (request line and headers, no body) on a raw socket.
+
+    Returns the response status and JSON body.  The write side is shut
+    after the head, so a server that waits for the declared body sees the
+    end of the stream instead of hanging.
+    """
+    with socket.create_connection((service.host, service.port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1"))
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    body = rest.partition(b"\r\n\r\n")[2]
+    return int(status_line.split()[1]), json.loads(body)
+
+
+class TestContentLength:
+    def test_body_above_the_limit_is_413_before_reading_it(self, service):
+        status, payload = _raw_request(
+            service,
+            "POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (_MAX_BODY + 1),
+        )
+        assert status == 413
+        assert "exceeds" in payload["error"]
+
+    def test_negative_length_is_400(self, service):
+        status, payload = _raw_request(
+            service, "POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_integer_length_is_400(self, service):
+        status, payload = _raw_request(
+            service, "GET /healthz HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_valid_length_still_reaches_the_route(self, service):
+        status, payload = _raw_request(
+            service, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        )
+        assert (status, payload["status"]) == (200, "ok")
 
 
 class TestDurability:
