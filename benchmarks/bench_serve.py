@@ -5,9 +5,10 @@ Two quantities characterize the service overhead:
 ``latency``
     Submit→done wall time of a minimal job (zdt1 + NSGA-II, a few
     generations) on an idle single-worker service.  This is the fixed cost
-    a job pays for going through HTTP + queue + runner subprocess instead
-    of calling :func:`repro.solve.solve` directly — dominated by the
-    runner's interpreter/numpy startup.
+    a job pays for going through HTTP + queue + runner process instead
+    of calling :func:`repro.solve.solve` directly.  The runner is a fork
+    of the service's warm fork server; the one cold start of that server
+    falls on the first job.
 
 ``throughput``
     Jobs/second draining a batch of sleep-bound jobs

@@ -10,8 +10,9 @@ and restart recovery:
 * :class:`~repro.serve.store.JobStore` — one directory per job,
   ``job.json`` written atomically, recovery by rescanning the tree;
 * :class:`~repro.serve.coordinator.Coordinator` — bounded worker pool
-  executing each job as a ``python -m repro.serve.runner`` subprocess and
-  fanning its event log out to SSE subscribers;
+  executing each job in its own runner process (forked from a warm
+  :mod:`~repro.serve.zygote`) and fanning its event log out to SSE
+  subscribers;
 * :class:`~repro.serve.http.HttpServer` — the dependency-free HTTP/1.1
   front end (``POST /jobs``, ``GET /jobs/{id}/events`` as SSE,
   ``/result``, ``/cancel``, ``/healthz``, ``/stats``);
@@ -34,53 +35,56 @@ Start a server (CLI) and drive it from Python::
 
 See ``docs/serving.md`` for the endpoint reference, the state machine and
 the recovery semantics.
+
+The names below load on first access (PEP 562), so ``python -m
+repro.serve.runner`` and the fork server import neither asyncio nor the HTTP
+front end.
 """
 
-from repro.serve.app import ServeApp, ServeThread, run_app
-from repro.serve.client import ServeClient, ServiceError
-from repro.serve.coordinator import Coordinator, JobChannel
-from repro.serve.http import HttpServer
-from repro.serve.jobs import (
-    CANCELLED,
-    CHECKPOINTED,
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    InvalidTransitionError,
-    JobNotFinishedError,
-    JobRecord,
-    JobSpec,
-    UnknownJobError,
-)
-from repro.serve.runner import EventLogObserver, run_job
-from repro.serve.store import JobStore
+import importlib
+from typing import Any
 
-__all__ = [
-    "ServeApp",
-    "ServeThread",
-    "run_app",
-    "ServeClient",
-    "ServiceError",
-    "Coordinator",
-    "JobChannel",
-    "HttpServer",
-    "QUEUED",
-    "RUNNING",
-    "CHECKPOINTED",
-    "DONE",
-    "FAILED",
-    "CANCELLED",
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "InvalidTransitionError",
-    "JobNotFinishedError",
-    "UnknownJobError",
-    "JobRecord",
-    "JobSpec",
-    "EventLogObserver",
-    "run_job",
-    "JobStore",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "ServeApp": "repro.serve.app",
+    "ServeThread": "repro.serve.app",
+    "run_app": "repro.serve.app",
+    "ServeClient": "repro.serve.client",
+    "ServiceError": "repro.serve.client",
+    "Coordinator": "repro.serve.coordinator",
+    "JobChannel": "repro.serve.coordinator",
+    "HttpServer": "repro.serve.http",
+    "QUEUED": "repro.serve.jobs",
+    "RUNNING": "repro.serve.jobs",
+    "CHECKPOINTED": "repro.serve.jobs",
+    "DONE": "repro.serve.jobs",
+    "FAILED": "repro.serve.jobs",
+    "CANCELLED": "repro.serve.jobs",
+    "JOB_STATES": "repro.serve.jobs",
+    "TERMINAL_STATES": "repro.serve.jobs",
+    "InvalidTransitionError": "repro.serve.jobs",
+    "JobNotFinishedError": "repro.serve.jobs",
+    "UnknownJobError": "repro.serve.jobs",
+    "JobRecord": "repro.serve.jobs",
+    "JobSpec": "repro.serve.jobs",
+    "EventLogObserver": "repro.serve.runner",
+    "run_job": "repro.serve.runner",
+    "JobStore": "repro.serve.store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule defining ``name`` on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """Module attributes plus the lazily loaded public names."""
+    return sorted(set(globals()) | set(__all__))

@@ -8,8 +8,11 @@ One :class:`Coordinator` owns the whole service state:
   interrupted by a server kill re-enter the queue and resume from their
   latest checkpoint;
 * a pool of ``workers`` **worker tasks**, each draining the queue and
-  executing one job at a time as a ``python -m repro.serve.runner``
-  subprocess (crash isolation, real cancellation, GIL-free parallelism);
+  executing one job at a time in its own runner process (crash isolation,
+  real cancellation, GIL-free parallelism).  The process is a child of the
+  :class:`ForkServer` — one warm ``repro.serve.runner --zygote`` process
+  started when a worker first needs it — or, where ``os.fork`` does not
+  exist, a fresh ``python -m repro.serve.runner`` interpreter;
 * one :class:`JobChannel` per observed job — the bridge between the
   runner's ``events.jsonl`` and the SSE endpoint.  A tail task polls the
   file while the job runs, updates the record's progress counters, flips
@@ -38,8 +41,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import sys
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.serve.jobs import (
@@ -54,15 +60,15 @@ from repro.serve.jobs import (
     JobRecord,
     JobSpec,
 )
-from repro.serve.store import JobStore
+from repro.serve.store import STDERR_NAME, JobStore
 
-__all__ = ["Coordinator", "JobChannel", "EVENT_POLL_INTERVAL"]
+__all__ = ["Coordinator", "ForkServer", "JobChannel", "EVENT_POLL_INTERVAL"]
 
 #: Seconds between polls of a running job's ``events.jsonl``.
 EVENT_POLL_INTERVAL = 0.05
 
-#: Seconds between SIGTERM and SIGKILL when cancelling a runner.
-_TERMINATE_GRACE = 5.0
+#: Seconds the fork server may take to wind down before it is killed.
+_ZYGOTE_EXIT_TIMEOUT = 10.0
 
 #: Longest stderr tail kept as a failed job's error detail.
 _STDERR_TAIL = 4000
@@ -127,6 +133,175 @@ class JobChannel:
         self.subscribers = []
 
 
+class ForkedRunner:
+    """One job's child of the :class:`ForkServer`, shaped like a subprocess.
+
+    Offers what the coordinator uses of :class:`asyncio.subprocess.Process`
+    — ``pid``, ``returncode``, ``terminate()``, ``wait()`` — plus
+    ``detail``: why the job ended without an exit status of its own (the
+    fork server died or could not fork), ``None`` otherwise.
+    """
+
+    def __init__(self, server: "ForkServer", job_id: str) -> None:
+        self.job_id = job_id
+        self.pid: "int | None" = None
+        self.returncode: "int | None" = None
+        self.detail: "str | None" = None
+        self._server = server
+        self._started = asyncio.Event()
+        self._exited = asyncio.Event()
+
+    def terminate(self) -> None:
+        """SIGTERM the child (routed through the fork server)."""
+        self._server.signal(self.job_id, signal.SIGTERM)
+
+    async def wait(self) -> int:
+        """Wait for the child's exit status."""
+        await self._exited.wait()
+        return self.returncode
+
+    def _start(self, pid: int) -> None:
+        self.pid = pid
+        self._started.set()
+
+    def _exit(self, code: int, detail: "str | None" = None) -> None:
+        self.returncode = code
+        self.detail = detail
+        self._started.set()
+        self._exited.set()
+
+
+class ForkServer:
+    """The coordinator's end of the fork server (:mod:`repro.serve.zygote`).
+
+    The zygote process starts on the first :meth:`fork`, not before, so a
+    service that runs no job never pays for it.  It is one
+    ``python -m repro.serve.runner --zygote <data_dir>`` process that
+    forks a child per job; this object sends it commands over its stdin and
+    reads its replies off its stdout.  If the zygote dies, every job it was
+    running ends with a non-zero code and a :attr:`ForkedRunner.detail`, and
+    the next :meth:`fork` starts a new zygote.
+
+    Example
+    -------
+    >>> import tempfile
+    >>> server = ForkServer(tempfile.mkdtemp())
+    >>> server.pid is None, server.starts, server.forks
+    (True, 0, 0)
+    """
+
+    def __init__(self, data_dir: "str | Path") -> None:
+        self.data_dir = str(data_dir)
+        #: Zygote processes started so far, and children forked from them.
+        self.starts = 0
+        self.forks = 0
+        self._process: "asyncio.subprocess.Process | None" = None
+        self._reader: "asyncio.Task | None" = None
+        self._runners: dict[str, ForkedRunner] = {}
+        self._lock = asyncio.Lock()
+
+    @property
+    def pid(self) -> "int | None":
+        """Pid of the live zygote, ``None`` while none runs."""
+        return self._process.pid if self._process is not None else None
+
+    async def fork(
+        self, job_id: str, job_dir: "str | Path", cache_dir: "str | None"
+    ) -> ForkedRunner:
+        """Fork a child running ``run_job(job_dir, cache_dir)``."""
+        async with self._lock:
+            if self._process is None:
+                await self._start()
+            runner = ForkedRunner(self, job_id)
+            self._runners[job_id] = runner
+            self._send(
+                {"op": "run", "job": job_id, "job_dir": str(job_dir), "cache_dir": cache_dir}
+            )
+        await runner._started.wait()
+        if runner.pid is not None:
+            self.forks += 1
+        return runner
+
+    def signal(self, job_id: str, signum: int) -> None:
+        """Ask the zygote to signal one job's child, if it has not been reaped."""
+        if self._process is not None:
+            self._send({"op": "signal", "job": job_id, "signal": int(signum)})
+
+    async def close(self) -> None:
+        """Shut the zygote down and reap it.
+
+        End of file on its control pipe makes the zygote terminate and reap
+        every child it still has, then exit.
+        """
+        process = self._process
+        if process is not None:
+            process.stdin.close()
+            try:
+                await asyncio.wait_for(process.wait(), timeout=_ZYGOTE_EXIT_TIMEOUT)
+            except asyncio.TimeoutError:  # pragma: no cover - a wedged zygote
+                process.kill()
+                await process.wait()
+        if self._reader is not None:
+            await self._reader
+            self._reader = None
+
+    async def _start(self) -> None:
+        process = await asyncio.create_subprocess_exec(
+            sys.executable, "-m", "repro.serve.runner", "--zygote", self.data_dir,
+            stdin=asyncio.subprocess.PIPE,
+            stdout=asyncio.subprocess.PIPE,
+        )
+        self.starts += 1
+        try:
+            ready = await process.stdout.readline()
+        except BaseException:
+            # Cancelled (the server stops) while the zygote imports: it is
+            # not ours to close yet, so kill and reap it here.
+            try:
+                process.kill()
+            except ProcessLookupError:
+                pass
+            await process.wait()
+            raise
+        if not ready:
+            await process.wait()
+            raise RuntimeError(
+                "fork server exited with code %s before it was ready" % process.returncode
+            )
+        self._process = process
+        self._reader = asyncio.ensure_future(self._read(process))
+
+    def _send(self, message: dict) -> None:
+        self._process.stdin.write((json.dumps(message) + "\n").encode("utf-8"))
+
+    async def _read(self, process: "asyncio.subprocess.Process") -> None:
+        """Dispatch the zygote's replies until it exits."""
+        while True:
+            line = await process.stdout.readline()
+            if not line:
+                break
+            reply = json.loads(line)
+            runner = self._runners.get(reply.get("job"))
+            if runner is None:
+                continue
+            if reply["event"] == "started":
+                runner._start(reply["pid"])
+            elif reply["event"] == "exit":
+                del self._runners[runner.job_id]
+                runner._exit(reply["code"], reply.get("error"))
+        # The zygote is gone: the next fork starts a new one, and every job
+        # it still ran has lost its child (which kills itself).
+        self._process = None
+        lost, self._runners = self._runners, {}
+        code = await process.wait()
+        for runner in lost.values():
+            runner._exit(
+                -signal.SIGKILL,
+                "fork server (pid %d) exited with code %s while the job ran"
+                % (process.pid, code),
+            )
+
+
 class Coordinator:
     """Bounded asyncio worker pool over the durable job store.
 
@@ -139,8 +314,8 @@ class Coordinator:
         them (useful for tests and drain-only maintenance).
     cache_dir:
         Optional persistent evaluation-cache directory passed to every
-        runner subprocess (``--cache-dir``), so all workers share one
-        content-addressed store across jobs and restarts.
+        runner, so all workers share one content-addressed store across
+        jobs and restarts.
 
     Example
     -------
@@ -164,7 +339,9 @@ class Coordinator:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.queue: asyncio.Queue = asyncio.Queue()
         self.channels: dict[str, JobChannel] = {}
-        self.processes: dict[str, asyncio.subprocess.Process] = {}
+        self.processes: dict[str, "asyncio.subprocess.Process | ForkedRunner"] = {}
+        #: Where ``os.fork`` exists, jobs run as children of one warm process.
+        self.fork_server = ForkServer(store.data_dir) if hasattr(os, "fork") else None
         self.records: dict[str, JobRecord] = {}
         self.busy = 0
         self.jobs_completed = 0
@@ -196,12 +373,17 @@ class Coordinator:
         """
         for task in self._worker_tasks:
             task.cancel()
-        for process in list(self.processes.values()):
-            if process.returncode is None:
-                process.terminate()
+        # Forked children need no signal here: closing the fork server below
+        # makes it terminate and reap every child it still has.
+        if self.fork_server is None:
+            for process in list(self.processes.values()):
+                if process.returncode is None:
+                    process.terminate()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        if self.fork_server is not None:
+            await self.fork_server.close()
         for channel in self.channels.values():
             channel.close()
 
@@ -296,6 +478,18 @@ class Coordinator:
             "uptime": round(time.monotonic() - self._started_at, 3)
             if self._started_at is not None
             else 0.0,
+            "runner": self._runner_stats(),
+        }
+
+    def _runner_stats(self) -> dict[str, Any]:
+        server = self.fork_server
+        if server is None:
+            return {"mode": "spawn", "zygote_pid": None, "zygote_starts": 0, "forks": 0}
+        return {
+            "mode": "fork",
+            "zygote_pid": server.pid,
+            "zygote_starts": server.starts,
+            "forks": server.forks,
         }
 
     # ------------------------------------------------------------------
@@ -350,7 +544,7 @@ class Coordinator:
                 self.busy -= 1
 
     async def _run_job(self, record: JobRecord) -> None:
-        """Execute one job as a runner subprocess, tailing its event log."""
+        """Execute one job in a runner process, tailing its event log."""
         job_id = record.id
         restored = self.store.truncate_events(job_id)
         channel = self._channel(job_id)
@@ -362,23 +556,13 @@ class Coordinator:
         self.store.save(record)
         channel.publish(self._state_event(record))
 
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.serve.runner",
-            str(self.store.job_dir(job_id)),
-        ]
-        if self.cache_dir is not None:
-            argv += ["--cache-dir", self.cache_dir]
-        process = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.DEVNULL,
-            stderr=asyncio.subprocess.PIPE,
-        )
+        process = await self._start_runner(job_id)
         self.processes[job_id] = process
+        if record.cancel_requested:  # cancelled while the runner started
+            process.terminate()
         tail_task = asyncio.ensure_future(self._tail_events(record, channel))
         try:
-            stderr_data, _ = await asyncio.gather(process.stderr.read(), process.wait())
+            await process.wait()
         finally:
             tail_task.cancel()
             try:
@@ -393,11 +577,38 @@ class Coordinator:
         elif process.returncode == 0:
             record.transition(DONE)
         else:
-            tail = stderr_data.decode("utf-8", "replace")[-_STDERR_TAIL:].strip()
-            record.error = tail or ("runner exited with code %s" % process.returncode)
+            # Why the process ended (its fork server died) comes first; the
+            # stderr tail is what the job itself printed before that.
+            detail = getattr(process, "detail", None)
+            record.error = "\n".join(
+                part for part in (detail, self._stderr_tail(job_id)) if part
+            ) or "runner exited with code %s" % process.returncode
             record.transition(FAILED)
         self.store.save(record)
         self._finish_channel(job_id, record)
+
+    async def _start_runner(
+        self, job_id: str
+    ) -> "asyncio.subprocess.Process | ForkedRunner":
+        """Start the process running one job; its stderr goes to ``stderr.log``."""
+        job_dir = self.store.job_dir(job_id)
+        if self.fork_server is not None:
+            return await self.fork_server.fork(job_id, job_dir, self.cache_dir)
+        argv = [sys.executable, "-m", "repro.serve.runner", str(job_dir)]
+        if self.cache_dir is not None:
+            argv += ["--cache-dir", self.cache_dir]
+        with open(job_dir / STDERR_NAME, "wb") as stderr:
+            return await asyncio.create_subprocess_exec(
+                *argv, stdout=asyncio.subprocess.DEVNULL, stderr=stderr
+            )
+
+    def _stderr_tail(self, job_id: str) -> str:
+        """The last ``_STDERR_TAIL`` characters of a job's ``stderr.log``."""
+        try:
+            data = (self.store.job_dir(job_id) / STDERR_NAME).read_bytes()
+        except OSError:
+            return ""
+        return data.decode("utf-8", "replace")[-_STDERR_TAIL:].strip()
 
     async def _tail_events(self, record: JobRecord, channel: JobChannel) -> None:
         """Poll the job's event log while the runner writes it."""

@@ -99,6 +99,8 @@ class HttpServer:
         self.port: "int | None" = None
         self._requested_port = int(port)
         self._server: "asyncio.AbstractServer | None" = None
+        #: Connection handlers still running; :meth:`stop` cancels them.
+        self._handlers: set[asyncio.Task] = set()
 
     async def start(self) -> None:
         """Bind and start accepting connections; resolves :attr:`port`."""
@@ -108,11 +110,20 @@ class HttpServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting connections and close the listener."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting connections, end open ones and close the listener.
+
+        Handlers still reading a request or streaming events are cancelled
+        and awaited, so none outlives the event loop.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -120,6 +131,8 @@ class HttpServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             request = await self._read_request(reader)
             if request is None:
@@ -130,12 +143,17 @@ class HttpServer:
             await self._send_json(writer, error.status, {"error": str(error)})
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # Only stop() cancels a handler; end it like a closed connection
+            # (asyncio's stream callback cannot take a cancelled task on 3.11).
+            pass
         except Exception as error:  # pragma: no cover - defensive
             try:
                 await self._send_json(writer, 500, {"error": str(error)})
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
+            self._handlers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -1,13 +1,15 @@
-"""The job runner: one subprocess, one job, the plain ``solve()`` driver.
+"""The job runner: one process, one job, the plain ``solve()`` driver.
 
-The coordinator executes every job as ``python -m repro.serve.runner
-<job_dir>``.  Running jobs out-of-process buys the service three properties
-threads cannot give it:
+Every job runs in its own process: a child the coordinator's fork server
+(:mod:`repro.serve.zygote`) forks and hands to :func:`run_job`, or, where
+``os.fork`` does not exist, ``python -m repro.serve.runner <job_dir>``.
+Running jobs out-of-process buys the service three properties threads
+cannot give it:
 
 * **crash isolation** — an evaluation that segfaults or raises kills only
   the runner; the coordinator sees a non-zero exit and marks the job
-  ``failed`` with the stderr tail as error detail;
-* **real cancellation** — cancel terminates the subprocess mid-generation
+  ``failed`` with the tail of the job's ``stderr.log`` as error detail;
+* **real cancellation** — cancel terminates the process mid-generation
   instead of waiting for cooperative checks;
 * **parallel throughput** — N workers are N independent interpreters, so
   CPU-bound jobs scale without fighting one GIL.
@@ -25,7 +27,7 @@ them.
 
 Example
 -------
-Run a stored job directory to completion (what the coordinator execs)::
+Run a stored job directory to completion (what a runner process does)::
 
     python -m repro.serve.runner <data_dir>/jobs/000001-4f9a2c
 """
@@ -196,8 +198,17 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``python -m repro.serve.runner <job_dir> [--cache-dir DIR]``."""
+    """Entry point of ``python -m repro.serve.runner <job_dir> [--cache-dir DIR]``.
+
+    ``--zygote <data_dir>`` instead runs the coordinator's fork server
+    (:mod:`repro.serve.zygote`), which forks one child per job and calls
+    :func:`run_job` in it.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
+    if len(argv) == 2 and argv[0] == "--zygote":
+        from repro.serve.zygote import serve
+
+        return serve(argv[1])
     cache_dir: "str | None" = None
     if "--cache-dir" in argv:
         index = argv.index("--cache-dir")

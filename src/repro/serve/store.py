@@ -6,6 +6,7 @@ Layout under the service data directory::
         000001-4f9a2c/
             job.json         # JobRecord sidecar (atomic rewrite per update)
             events.jsonl     # runner-written event log (SSE replay source)
+            stderr.log       # the runner's stderr (a failed job's error detail)
             checkpoints/     # CheckpointManager directory (resume source)
             front.json ...   # solve artifacts once the job is done
         000002-b81d0e/
@@ -44,12 +45,14 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 
-__all__ = ["JobStore", "RECORD_NAME", "EVENTS_NAME", "CHECKPOINTS_DIR"]
+__all__ = ["JobStore", "RECORD_NAME", "EVENTS_NAME", "STDERR_NAME", "CHECKPOINTS_DIR"]
 
 #: File name of the per-job record sidecar.
 RECORD_NAME = "job.json"
 #: File name of the per-job event log (the SSE replay source).
 EVENTS_NAME = "events.jsonl"
+#: File name of the runner's stderr (a failed job's error detail).
+STDERR_NAME = "stderr.log"
 #: Directory name of the per-job checkpoint store.
 CHECKPOINTS_DIR = "checkpoints"
 

@@ -7,8 +7,13 @@ subprocess.  The end-to-end behaviour with real workers lives in
 ``test_service.py``.
 """
 
+import gc
 import json
+import logging
+import os
 import socket
+import sys
+import time
 
 import pytest
 
@@ -31,8 +36,11 @@ class TestEndpoints:
     def test_stats_shape(self, service):
         payload = service.stats()
         assert set(payload) >= {"workers", "workers_busy", "queue_depth", "jobs",
-                                "jobs_completed", "uptime"}
+                                "jobs_completed", "uptime", "runner"}
         assert payload["workers"] == 0
+        runner = payload["runner"]
+        assert set(runner) == {"mode", "zygote_pid", "zygote_starts", "forks"}
+        assert runner["mode"] == ("fork" if hasattr(os, "fork") else "spawn")
 
     def test_submit_returns_queued_record(self, service):
         record = service.submit(problem="zdt1", generations=3)
@@ -174,3 +182,26 @@ class TestDurability:
             client = ServeClient(port=app.port, timeout=30)
             assert client.job(record["id"])["state"] == "queued"
             assert client.stats()["queue_depth"] == 1
+
+
+class TestShutdown:
+    def test_stop_ends_open_connections_without_loop_errors(self, tmp_path, caplog,
+                                                            monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        app = ServeThread(str(tmp_path), workers=0).start()
+        sock = socket.create_connection(("127.0.0.1", app.port), timeout=10)
+        try:
+            # Half a request: the handler stays blocked reading headers.
+            sock.sendall(b"GET /stats HTTP/1.1\r\n")
+            time.sleep(0.2)
+            app.stop()
+            gc.collect()
+            # The server closed its end of the half-open connection.
+            assert sock.recv(1024) == b""
+        finally:
+            sock.close()
+        gc.collect()
+        assert [record.getMessage() for record in caplog.records] == []
+        assert [str(hook.exc_value) for hook in unraisable] == []

@@ -2,10 +2,12 @@
 
 ``import repro.solve`` and ``import repro.serve.runner`` must not register
 the built-in problems or the canned experiments (those load on the first
-registry lookup) nor import networkx (not a dependency), and the number of ``repro`` modules each entry point loads
-must not grow: every job of ``repro serve`` spawns a runner process that
-pays this import.  Measured in a fresh interpreter, since the test process
-has long since imported everything.
+registry lookup) nor import networkx (not a dependency), and the number of
+``repro`` modules each entry point loads must not grow: a runner process
+(or the fork server it runs as) pays this import.  The runner needs neither
+asyncio nor the HTTP front end, which ``repro.serve`` loads only on access.
+Measured in a fresh interpreter, since the test process has long since
+imported everything.
 """
 
 import json
@@ -18,11 +20,14 @@ import pytest
 import repro
 
 #: Entry point -> most ``repro`` modules (the package included) it may load.
-MODULE_BUDGET = {"repro.solve": 41, "repro.serve.runner": 49, "repro.problems": 9}
+MODULE_BUDGET = {"repro.solve": 41, "repro.serve.runner": 45, "repro.problems": 9}
 
 #: Modules that no entry point may import: the first two load on a registry
 #: lookup, networkx is not a dependency of the package.
 LAZY = ("repro.problems.builtins", "repro.core.experiments", "networkx")
+
+#: Modules a job runner must not load: the service's event loop and HTTP app.
+RUNNER_FREE_OF = ("asyncio", "repro.serve.app", "repro.serve.http")
 
 
 def _loaded_modules(entry_point: str) -> list[str]:
@@ -43,3 +48,8 @@ def test_entry_point_stays_lazy_and_within_budget(entry_point):
     assert not set(LAZY) & set(loaded)
     own = [name for name in loaded if name == "repro" or name.startswith("repro.")]
     assert len(own) <= MODULE_BUDGET[entry_point], own
+
+
+def test_runner_loads_neither_asyncio_nor_the_http_app():
+    loaded = _loaded_modules("repro.serve.runner")
+    assert not set(RUNNER_FREE_OF) & set(loaded)
